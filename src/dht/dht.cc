@@ -19,11 +19,12 @@ Dht::Dht(sim::Scheduler* scheduler, sim::Network* network, DhtOptions options)
 
 Dht::~Dht() = default;
 
-std::unique_ptr<store::PeerStore> Dht::MakeStore() const {
+std::unique_ptr<store::PeerStore> Dht::MakeStore() {
+  const uint64_t epoch = ++store_epochs_;
   if (options_.store_kind == StoreKind::kBTree) {
-    return std::make_unique<store::BTreePeerStore>();
+    return std::make_unique<store::BTreePeerStore>(epoch);
   }
-  return std::make_unique<store::NaivePeerStore>();
+  return std::make_unique<store::NaivePeerStore>(epoch);
 }
 
 sim::NodeIndex Dht::AddPeer() {

@@ -82,7 +82,8 @@ class Dht {
   const ReplicationManager& replication() const { return *replication_; }
 
  private:
-  std::unique_ptr<store::PeerStore> MakeStore() const;
+  /// A fresh store with this network's next version epoch.
+  std::unique_ptr<store::PeerStore> MakeStore();
   void BuildRoutingTable(DhtPeer* peer);
 
   sim::Scheduler* scheduler_;
@@ -92,6 +93,7 @@ class Dht {
   /// Live ring: id -> node index, sorted by id.
   std::map<KeyId, sim::NodeIndex> ring_;
   uint64_t next_peer_seq_ = 0;
+  uint64_t store_epochs_ = 0;  // epochs handed out to this network's stores
   std::unique_ptr<ReplicationManager> replication_;
 };
 

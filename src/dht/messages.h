@@ -125,7 +125,7 @@ struct GetBlock final : sim::Payload {
   index::PostingList postings;
   /// Set by the responder when the requesting `GetRequest::compress` asked
   /// for delta+varint-coded blocks. Blocks are posting-aligned: each one is
-  /// an independently decodable stream (codec::BlockEncoder framing).
+  /// sized as an independently decodable `EncodePostings` stream.
   bool compressed = false;
 
   size_t SizeBytes() const override {

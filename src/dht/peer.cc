@@ -63,9 +63,11 @@ DhtCounters& C() {
   return counters;
 }
 
-// Per-holder ingress load, the input signal for load-aware rebalancing
-// (ROADMAP item 2). Handles are cached per node index; per-key load lives
-// in the bounded ReplicationManager tracker, not in registry counters.
+// Per-holder ingress load, for reporting. Replica routing reads each
+// network's own `stats_` instead: these counters are process-wide and keep
+// counting across networks. Handles are cached per node index; per-key
+// load lives in the bounded ReplicationManager tracker, not in registry
+// counters.
 struct HolderLoadCounters {
   obs::Counter* gets;
   obs::Counter* appends;
@@ -713,9 +715,9 @@ void DhtPeer::ServeGetRange(const GetRequest& req) {
     const size_t begin = req.pipelined ? b * block_postings : 0;
     const size_t end_pos =
         req.pipelined ? std::min(total, begin + block_postings) : total;
-    // Blocks are sliced on posting boundaries, so each one is encoded as a
-    // standalone stream (codec::BlockEncoder framing) and the disk read is
-    // charged at the stored (possibly compressed) size.
+    // Blocks are sliced on posting boundaries, so each one is sized as a
+    // standalone `EncodePostings` stream and the disk read is charged at
+    // the stored (possibly compressed) size.
     PostingList block(list.begin() + begin, list.begin() + end_pos);
     const double block_bytes =
         static_cast<double>(index::codec::StoredBytes(block));

@@ -12,19 +12,6 @@ namespace kadop::dht {
 
 using sim::NodeIndex;
 
-namespace {
-
-/// Combined ingress load of a holder, read from the process-wide registry
-/// (the same counters the serving bench reports per window).
-uint64_t HolderLoad(NodeIndex node) {
-  auto& r = obs::MetricRegistry::Default();
-  const std::string base = "load.holder." + std::to_string(node);
-  return r.GetCounter(base + ".gets")->value() +
-         r.GetCounter(base + ".appends")->value();
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // KeyLoadTracker
 
@@ -196,8 +183,7 @@ void ReplicationManager::ProcessWindow() {
   auto& r = obs::MetricRegistry::Default();
   for (size_t node = 0; node < dht_->PeerCount(); ++node) {
     const auto n = static_cast<NodeIndex>(node);
-    const uint64_t total =
-        r.GetCounter("load.holder." + std::to_string(node) + ".gets")->value();
+    const uint64_t total = dht_->peer(n)->stats().gets_served;
     const uint64_t seen = holder_gets_seen_[n];
     holder_gets_seen_[n] = total;
     const auto delta = static_cast<double>(total - seen);
@@ -252,7 +238,14 @@ NodeIndex ReplicationManager::RouteGet(const std::string& key) {
     candidates.push_back(r.node);
   }
   if (candidates.empty()) return kNoReplica;
-  const NodeIndex pick = PowerOfTwoChoice(candidates, HolderLoad, rng_);
+  // Combined ingress load of a holder in this network (the per-peer
+  // counterpart of the `load.holder.*` registry counters, which keep
+  // counting across every network built in the process).
+  const auto holder_load = [this](NodeIndex node) {
+    const DhtStats& s = dht_->peer(node)->stats();
+    return s.gets_served + s.appends_received;
+  };
+  const NodeIndex pick = PowerOfTwoChoice(candidates, holder_load, rng_);
   return pick == owner ? kNoReplica : pick;
 }
 

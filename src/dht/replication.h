@@ -94,8 +94,8 @@ class KeyLoadTracker {
 /// replicas on the owner's first `replicas` successors (a replica is a
 /// planned handoff with a version stamp, shipped by the core layer through
 /// the `CopyFn` hook), routes gets to the least-loaded live copy
-/// (power-of-two-choices over the `load.holder.*` counters), and demotes
-/// when the load subsides.
+/// (power-of-two-choices over the holders' per-peer ingress stats), and
+/// demotes when the load subsides.
 ///
 /// Consistency: a replica serves a get only while its stamped version
 /// matches the owner store's current posting version for the key (the same

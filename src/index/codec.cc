@@ -35,14 +35,6 @@ CodecCounters& C() {
 }
 
 bool g_compression_enabled = false;
-bool g_block_headers_enabled = false;
-
-/// Leading magic byte of the block-header framing. `EncodePostings`
-/// streams start with varint(count), so a headered block is recognizably
-/// different from a bare stream only by convention — both ends of an
-/// exchange agree on the framing via `SetBlockHeadersEnabled`; the magic
-/// byte is a corruption tripwire, not a negotiation.
-constexpr uint8_t kBlockHeaderMagic = 0xB7;
 
 void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
   while (v >= 0x80) {
@@ -65,65 +57,6 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
     }
   }
   return false;  // > 10 bytes: malformed
-}
-
-/// Pointer-based varint reader for the batch decode path: one bounds
-/// check up front for the common single-byte case, per-byte checks only
-/// on the multi-byte tail. Rejects exactly what `ReadVarint` rejects.
-[[nodiscard]] inline bool ReadVarintPtr(const uint8_t*& p, const uint8_t* end,
-                                        uint64_t* v) {
-  if (p < end && *p < 0x80) {  // single-byte fast case (most deltas)
-    *v = *p++;
-    return true;
-  }
-  uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (p >= end) return false;
-    const uint8_t byte = *p++;
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = value;
-      return true;
-    }
-  }
-  return false;  // > 10 bytes: malformed
-}
-
-void AppendVarintPosting(std::vector<uint8_t>& out, const Posting& p) {
-  AppendVarint(out, p.peer);
-  AppendVarint(out, p.doc);
-  AppendVarint(out, p.sid.start);
-  AppendVarint(out, p.sid.end - p.sid.start);
-  AppendVarint(out, p.sid.level);
-}
-
-[[nodiscard]] size_t VarintPostingLen(const Posting& p) {
-  return VarintLen(p.peer) + VarintLen(p.doc) + VarintLen(p.sid.start) +
-         VarintLen(p.sid.end - p.sid.start) + VarintLen(p.sid.level);
-}
-
-[[nodiscard]] bool ReadVarintPosting(const uint8_t* data, size_t size,
-                                     size_t* pos, Posting* p) {
-  uint64_t peer = 0, doc = 0, start = 0, width = 0, level = 0;
-  if (!ReadVarint(data, size, pos, &peer) ||
-      !ReadVarint(data, size, pos, &doc) ||
-      !ReadVarint(data, size, pos, &start) ||
-      !ReadVarint(data, size, pos, &width) ||
-      !ReadVarint(data, size, pos, &level)) {
-    return false;
-  }
-  if (peer > std::numeric_limits<uint32_t>::max() ||
-      doc > std::numeric_limits<uint32_t>::max() ||
-      start + width > std::numeric_limits<uint32_t>::max() ||
-      level > std::numeric_limits<uint16_t>::max()) {
-    return false;
-  }
-  p->peer = static_cast<uint32_t>(peer);
-  p->doc = static_cast<uint32_t>(doc);
-  p->sid.start = static_cast<uint32_t>(start);
-  p->sid.end = static_cast<uint32_t>(start + width);
-  p->sid.level = static_cast<uint16_t>(level);
-  return true;
 }
 
 /// Shared traversal for the encoder and the size function: walks the runs
@@ -258,76 +191,6 @@ Status DecodePostings(const std::vector<uint8_t>& buffer, PostingList* out) {
   return DecodePostings(buffer.data(), buffer.size(), out);
 }
 
-Status DecodePostingsInto(const uint8_t* data, size_t size, Posting* out,
-                          size_t capacity, size_t* decoded) {
-  const uint64_t t0 = obs::ProfileNowNs();
-  *decoded = 0;
-  const uint8_t* p = data;
-  const uint8_t* const end = data + size;
-  uint64_t count = 0;
-  if (!ReadVarintPtr(p, end, &count)) {
-    return Status::Corruption("codec: truncated posting count");
-  }
-  if (count > static_cast<uint64_t>(end - p) / 3 + 1) {
-    return Status::Corruption("codec: posting count exceeds buffer");
-  }
-  if (count > capacity) {
-    return Status::Corruption("codec: posting count exceeds caller span");
-  }
-  Posting* w = out;
-  Posting* const w_end = out + count;
-  uint32_t prev_peer = 0;
-  uint32_t prev_doc = 0;
-  while (w < w_end) {
-    uint64_t dpeer = 0;
-    uint64_t doc_field = 0;
-    uint64_t run_len = 0;
-    if (!ReadVarintPtr(p, end, &dpeer) || !ReadVarintPtr(p, end, &doc_field) ||
-        !ReadVarintPtr(p, end, &run_len)) {
-      return Status::Corruption("codec: truncated run header");
-    }
-    const uint64_t peer = prev_peer + dpeer;
-    const uint64_t doc = dpeer != 0 ? doc_field : prev_doc + doc_field;
-    if (run_len == 0 || run_len > static_cast<uint64_t>(w_end - w) ||
-        peer > std::numeric_limits<uint32_t>::max() ||
-        doc > std::numeric_limits<uint32_t>::max()) {
-      return Status::Corruption("codec: malformed run header");
-    }
-    uint64_t prev_start = 0;
-    for (uint64_t k = 0; k < run_len; ++k) {
-      uint64_t dstart = 0;
-      uint64_t width = 0;
-      uint64_t level = 0;
-      if (!ReadVarintPtr(p, end, &dstart) || !ReadVarintPtr(p, end, &width) ||
-          !ReadVarintPtr(p, end, &level)) {
-        return Status::Corruption("codec: truncated posting");
-      }
-      const uint64_t start = prev_start + dstart;
-      const uint64_t sid_end = start + width;
-      if (sid_end > std::numeric_limits<uint32_t>::max() ||
-          level > std::numeric_limits<uint16_t>::max()) {
-        return Status::Corruption("codec: posting field overflow");
-      }
-      w->peer = static_cast<uint32_t>(peer);
-      w->doc = static_cast<uint32_t>(doc);
-      w->sid.start = static_cast<uint32_t>(start);
-      w->sid.end = static_cast<uint32_t>(sid_end);
-      w->sid.level = static_cast<uint16_t>(level);
-      ++w;
-      prev_start = start;
-    }
-    prev_peer = static_cast<uint32_t>(peer);
-    prev_doc = static_cast<uint32_t>(doc);
-  }
-  if (p != end) {
-    return Status::Corruption("codec: trailing bytes after postings");
-  }
-  *decoded = static_cast<size_t>(count);
-  C().decodes->Increment();
-  C().decode_ns->Increment(obs::ProfileNowNs() - t0);
-  return Status::OK();
-}
-
 size_t EncodedBytes(const PostingList& list) {
   size_t total = 0;
   WalkEncoded(list, [&total](uint64_t v) { total += VarintLen(v); });
@@ -380,102 +243,6 @@ double EstimatedWirePostingBytes(bool compressed) {
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes) {
   C().raw_bytes->Increment(raw_bytes);
   C().encoded_bytes->Increment(encoded_bytes);
-}
-
-void SetBlockHeadersEnabled(bool on) { g_block_headers_enabled = on; }
-
-bool BlockHeadersEnabled() { return g_block_headers_enabled; }
-
-size_t BlockHeaderBytes(const BlockHeader& header) {
-  size_t total = 1 + VarintLen(header.count);  // magic + count
-  if (header.count > 0) {
-    total += VarintPostingLen(header.bounds.lo) +
-             VarintPostingLen(header.bounds.hi);
-  }
-  return total;
-}
-
-void AppendBlockHeader(std::vector<uint8_t>& out, const BlockHeader& header) {
-  KADOP_CHECK(header.count == 0 || !(header.bounds.hi < header.bounds.lo),
-              "codec: block header bounds inverted");
-  out.push_back(kBlockHeaderMagic);
-  AppendVarint(out, header.count);
-  if (header.count > 0) {
-    AppendVarintPosting(out, header.bounds.lo);
-    AppendVarintPosting(out, header.bounds.hi);
-  }
-}
-
-Status ParseBlockHeader(const uint8_t* data, size_t size, BlockHeader* header,
-                        size_t* payload_offset) {
-  *header = BlockHeader{};
-  *payload_offset = 0;
-  size_t pos = 0;
-  if (size == 0 || data[pos++] != kBlockHeaderMagic) {
-    return Status::Corruption("codec: bad block header magic");
-  }
-  uint64_t count = 0;
-  if (!ReadVarint(data, size, &pos, &count)) {
-    return Status::Corruption("codec: truncated block header count");
-  }
-  Condition bounds;  // default-empty: matches nothing when count == 0
-  if (count > 0) {
-    if (!ReadVarintPosting(data, size, &pos, &bounds.lo) ||
-        !ReadVarintPosting(data, size, &pos, &bounds.hi)) {
-      return Status::Corruption("codec: truncated block header bounds");
-    }
-    if (bounds.hi < bounds.lo) {
-      return Status::Corruption("codec: block header bounds inverted");
-    }
-  }
-  header->bounds = bounds;
-  header->count = count;
-  *payload_offset = pos;
-  return Status::OK();
-}
-
-Status DecodeBlockWithHeader(const uint8_t* data, size_t size,
-                             BlockHeader* header, PostingList* out) {
-  size_t payload = 0;
-  if (Status s = ParseBlockHeader(data, size, header, &payload); !s.ok()) {
-    return s;
-  }
-  if (Status s = DecodePostings(data + payload, size - payload, out);
-      !s.ok()) {
-    return s;
-  }
-  if (out->size() != header->count ||
-      (!out->empty() && (out->front() != header->bounds.lo ||
-                         out->back() != header->bounds.hi))) {
-    return Status::Corruption("codec: block header disagrees with payload");
-  }
-  return Status::OK();
-}
-
-BlockEncoder::BlockEncoder(size_t max_block_postings)
-    : max_block_postings_(max_block_postings == 0 ? 1 : max_block_postings) {}
-
-void BlockEncoder::Add(const Posting& posting) {
-  KADOP_CHECK(pending_.empty() || !(posting < pending_.back()),
-              "codec: block postings must arrive sorted");
-  pending_.push_back(posting);
-}
-
-BlockEncoder::Block BlockEncoder::Flush() {
-  Block block;
-  block.postings = std::move(pending_);
-  pending_ = PostingList();
-  block.count = block.postings.size();
-  if (!block.postings.empty()) {
-    block.bounds = Condition{block.postings.front(), block.postings.back()};
-  }
-  if (g_block_headers_enabled) {
-    AppendBlockHeader(block.bytes,
-                      BlockHeader{block.bounds, block.count});
-  }
-  const std::vector<uint8_t> payload = EncodePostings(block.postings);
-  block.bytes.insert(block.bytes.end(), payload.begin(), payload.end());
-  return block;
 }
 
 }  // namespace kadop::index::codec

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/condition.h"
 #include "index/posting.h"
 
 namespace kadop::index::codec {
@@ -53,16 +52,6 @@ void SetCompressionEnabled(bool on);
                                     PostingList* out);
 [[nodiscard]] Status DecodePostings(const std::vector<uint8_t>& buffer,
                                     PostingList* out);
-
-/// Batch fast path: decodes a whole stream into the caller-preallocated
-/// span `out[0..capacity)` without touching the heap — the query engine
-/// points it at arena scratch. Validates exactly what `DecodePostings`
-/// validates (truncation, malformed varints, run/field overflow, trailing
-/// bytes) and additionally fails with `kCorruption` when the stream holds
-/// more than `capacity` postings. On OK `*decoded` is the posting count.
-[[nodiscard]] Status DecodePostingsInto(const uint8_t* data, size_t size,
-                                        Posting* out, size_t capacity,
-                                        size_t* decoded);
 
 /// Exact size of `EncodePostings(list)` without materializing the buffer —
 /// the size model used for every network/store cost charge, so the
@@ -115,78 +104,6 @@ struct WireSizeMemo {
 /// Record an achieved raw -> encoded ratio in the codec counters (used by
 /// sites that model an encode without materializing it).
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes);
-
-/// Process-wide switch for the self-describing block-header framing below.
-/// Off by default so every seeded baseline stays byte-identical; holders
-/// and query peers that want pre-decode block skipping turn it on for both
-/// ends of the exchange (the header is not self-negotiating).
-void SetBlockHeadersEnabled(bool on);
-[[nodiscard]] bool BlockHeadersEnabled();
-
-/// Self-describing block header: the exact first/last posting of the block
-/// (so `bounds` carries `[min_doc, max_doc]` *and* the min/max start
-/// interval) plus the posting count. A reader can decide from the header
-/// alone whether a block can intersect its query range — and skip the
-/// payload without ever decoding it.
-struct BlockHeader {
-  Condition bounds;  // lo == first posting, hi == last posting (exact)
-  uint64_t count = 0;
-};
-
-/// Encoded size of `header` (magic byte + varints).
-[[nodiscard]] size_t BlockHeaderBytes(const BlockHeader& header);
-
-/// Appends the header framing to `out`.
-void AppendBlockHeader(std::vector<uint8_t>& out, const BlockHeader& header);
-
-/// Parses a header off the front of a framed block. On OK, `*payload_offset`
-/// is the offset of the embedded `EncodePostings` stream. Fails with
-/// `kCorruption` on a bad magic byte, truncation, or inverted bounds.
-[[nodiscard]] Status ParseBlockHeader(const uint8_t* data, size_t size,
-                                      BlockHeader* header,
-                                      size_t* payload_offset);
-
-/// Parses the header, decodes the payload, and cross-checks them: the
-/// payload's posting count and exact first/last posting must match the
-/// header, so a tampered header (or a header spliced onto the wrong
-/// payload) fails with `kCorruption` instead of mis-skipping.
-[[nodiscard]] Status DecodeBlockWithHeader(const uint8_t* data, size_t size,
-                                           BlockHeader* header,
-                                           PostingList* out);
-
-/// Splits a posting stream into posting-aligned, independently decodable
-/// blocks: every `Flush()` emits a standalone `EncodePostings` stream of at
-/// most `max_block_postings` postings, so pipelined-get and DPP block
-/// boundaries never straddle a posting and each block decodes on its own.
-/// When `BlockHeadersEnabled()`, `bytes` is prefixed with the block's
-/// `BlockHeader`; `bounds`/`count` are filled either way.
-class BlockEncoder {
- public:
-  struct Block {
-    PostingList postings;
-    std::vector<uint8_t> bytes;  // [header +] EncodePostings(postings)
-    Condition bounds;            // exact first/last posting (empty if none)
-    uint64_t count = 0;
-  };
-
-  explicit BlockEncoder(size_t max_block_postings);
-
-  /// Appends one posting to the current block. Input must arrive in sorted
-  /// order, exactly as `EncodePostings` requires.
-  void Add(const Posting& posting);
-
-  [[nodiscard]] bool BlockFull() const {
-    return pending_.size() >= max_block_postings_;
-  }
-  [[nodiscard]] size_t pending() const { return pending_.size(); }
-
-  /// Encodes and returns the current block, then starts a fresh one.
-  [[nodiscard]] Block Flush();
-
- private:
-  size_t max_block_postings_;
-  PostingList pending_;
-};
 
 }  // namespace kadop::index::codec
 

@@ -17,7 +17,6 @@ namespace kadop::query {
 
 namespace {
 
-using dht::GetSpec;
 using index::PostingList;
 
 struct HolderCounters {
@@ -77,6 +76,28 @@ struct TaskState {
 
 }  // namespace
 
+bool TrimmedPull::Suspect(bool complete, size_t got) const {
+  return !complete ||
+         (!lower_trimmed && !upper_trimmed && got < expected) ||
+         (lower_trimmed != upper_trimmed && got == 0 && expected > 0);
+}
+
+TrimmedPull TrimToWindow(const index::DppBlockInfo& block,
+                         const index::Condition& window,
+                         const dht::RetryPolicy& retry, bool compress) {
+  TrimmedPull pull;
+  pull.spec.key = block.key;
+  pull.spec.pipelined = false;
+  pull.spec.lo = block.cond.lo < window.lo ? window.lo : block.cond.lo;
+  pull.spec.hi = window.hi < block.cond.hi ? window.hi : block.cond.hi;
+  pull.spec.retry = retry;
+  pull.spec.compress = compress;
+  pull.lower_trimmed = block.cond.lo < pull.spec.lo;
+  pull.upper_trimmed = pull.spec.hi < block.cond.hi;
+  pull.expected = block.count;
+  return pull;
+}
+
 BlockJoinService::BlockJoinService(dht::DhtPeer* peer) : peer_(peer) {
   KADOP_CHECK(peer_ != nullptr, "BlockJoinService requires a peer");
 }
@@ -112,22 +133,15 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
 
   auto finish = [state, peer, origin, req_id, query_id, task, span]() {
     obs::Tracer::Default().End(span);
-    StructuralJoinIterator join(state->pattern);
-    for (size_t node = 0; node < state->gathered.size(); ++node) {
-      // Pulled blocks may interleave or overlap (random-split ablation):
-      // merge-distinct the sorted pulls once — the same canonical result
-      // as the query peer's merge path.
-      join.AddInput(node, PostingBlock::FromList(MergeDistinct(
-                              std::move(state->gathered[node]))));
-    }
-    join.Run();
+    StructuralJoinIterator join =
+        JoinGathered(state->pattern, std::move(state->gathered));
 
     auto result = std::make_shared<index::JoinResultMessage>();
     result->query_id = query_id;
     result->task = task;
     result->nodes_per_answer =
         static_cast<uint32_t>(state->pattern.size());
-    result->matched_docs = join.matched_docs();
+    result->matched_docs = join.TakeMatchedDocs();
     result->answer_docs.reserve(join.answers().size());
     result->answer_sids.reserve(join.answers().size() *
                                 state->pattern.size());
@@ -156,43 +170,22 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
 
   for (size_t node = 0; node < req.inputs.size(); ++node) {
     for (const index::DppBlockInfo& block : req.inputs[node]) {
-      GetSpec spec;
-      spec.key = block.key;
-      spec.pipelined = false;
-      spec.lo = block.cond.lo < req.window.lo ? req.window.lo : block.cond.lo;
-      spec.hi = req.window.hi < block.cond.hi ? req.window.hi : block.cond.hi;
-      spec.retry = req.fetch_retry;
-      spec.compress = compress;
-      const bool lower_trimmed = block.cond.lo < spec.lo;
-      const bool upper_trimmed = spec.hi < block.cond.hi;
-      const uint64_t expected = block.count;
+      const TrimmedPull pull =
+          TrimToWindow(block, req.window, req.fetch_retry, compress);
       // The home block (and any other block this peer happens to hold) is
       // served locally: the get round-trips through the local store with
       // zero network traffic, so only foreign pulls charge wire bytes.
       const bool local = peer_->IsResponsible(dht::HashKey(block.key));
       auto staged = std::make_shared<PostingList>();
       peer_->GetBlocks(
-          spec, [state, node, local, compress, lower_trimmed, upper_trimmed,
-                 expected, staged, finish](PostingList postings, bool last,
-                                           bool complete) {
+          pull.spec, [state, node, local, compress, pull, staged, finish](
+                         PostingList postings, bool last, bool complete) {
             staged->insert(staged->end(), postings.begin(), postings.end());
             if (!last) return;
             PostingList got = std::move(*staged);
-            // Verify the pull against the directory. A crashed holder's
-            // key range is inherited by its data-less successor, which
-            // answers instantly with an empty list and complete=true —
-            // silent data loss unless caught here. An untrimmed pull must
-            // match the directory count; a pull trimmed at one end must
-            // still contain the block's posting at the untrimmed end, so
-            // empty means the data is gone. Only a window strictly inside
-            // the block (both ends trimmed) can be legitimately empty and
-            // stays unverifiable.
-            const bool suspect =
-                !complete ||
-                (!lower_trimmed && !upper_trimmed && got.size() < expected) ||
-                (lower_trimmed != upper_trimmed && got.empty() &&
-                 expected > 0);
-            if (suspect) {
+            // Verify the pull against the directory: silent data loss at
+            // a crashed holder's successor is caught here.
+            if (pull.Suspect(complete, got.size())) {
               state->complete = false;
               state->degraded = true;
             }

@@ -67,14 +67,6 @@ QueryCounters& C() {
   return counters;
 }
 
-/// Wire size of a received posting transfer for query metrics. The pure
-/// size functions (never `codec::WireBytes`): the ratio counters were
-/// already bumped when the carrying payload was first sized.
-size_t TransferWireBytes(const index::PostingList& list, bool compressed) {
-  return compressed ? index::codec::EncodedBytes(list)
-                    : index::codec::RawBytes(list);
-}
-
 }  // namespace
 
 using dht::AppRequest;
@@ -194,7 +186,11 @@ void QueryExecutor::Start() {
                   std::string(QueryStrategyName(options_.strategy)));
   obs::ScopedTraceContext scope(tracer.ContextFor(span_));
   ArmTimeout();
-  switch (options_.strategy) {
+  Dispatch(options_.strategy);
+}
+
+void QueryExecutor::Dispatch(QueryStrategy strategy) {
+  switch (strategy) {
     case QueryStrategy::kBaseline:
       StartBaseline();
       break;
@@ -223,6 +219,22 @@ void QueryExecutor::Start() {
       StartSubQuery();
       break;
   }
+}
+
+size_t QueryExecutor::CountIngress(const PostingList& postings,
+                                   bool compressed) {
+  // The pure size functions (never `codec::WireBytes`): the ratio counters
+  // were already bumped when the carrying payload was first sized.
+  const size_t raw = index::codec::RawBytes(postings);
+  const size_t wire =
+      compressed ? index::codec::EncodedBytes(postings) : raw;
+  metrics_.postings_received += postings.size();
+  metrics_.posting_bytes += raw;
+  metrics_.posting_wire_bytes += wire;
+  C().postings_received->Increment(postings.size());
+  C().posting_bytes->Increment(raw);
+  C().posting_wire_bytes->Increment(wire);
+  return wire;
 }
 
 void QueryExecutor::FailInvalid(const std::string& why) {
@@ -284,16 +296,9 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
   peer_->GetBlocks(spec, [self, node, count_blocks, spec, pre_version, accum](
                              PostingList block, bool last, bool complete) {
     if (self->finished_) return;
-    self->metrics_.postings_received += block.size();
-    self->metrics_.posting_bytes += index::codec::RawBytes(block);
-    self->metrics_.posting_wire_bytes +=
-        TransferWireBytes(block, self->compress_);
+    self->CountIngress(block, self->compress_);
     self->metrics_.full_postings += block.size();
     if (count_blocks) self->metrics_.blocks_fetched++;
-    C().postings_received->Increment(block.size());
-    C().posting_bytes->Increment(index::codec::RawBytes(block));
-    C().posting_wire_bytes->Increment(
-        TransferWireBytes(block, self->compress_));
     // The cache accumulator (when present) takes a copy; the join always
     // takes the block itself — the single-consumer fast path moves it.
     if (accum) accum->insert(accum->end(), block.begin(), block.end());
@@ -669,68 +674,46 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
   KADOP_CHECK(gather->pending > 0, "join task with no inputs");
 
   auto on_all = [self, task, gather]() {
-    StructuralJoinIterator join(self->pattern_);
-    for (size_t node = 0; node < gather->lists.size(); ++node) {
-      // Pulls may interleave or overlap: merge-distinct the sorted pulls
-      // once, exactly like the holder-side join path.
-      join.AddInput(node, PostingBlock::FromList(MergeDistinct(
-                              std::move(gather->lists[node]))));
-    }
-    join.Run();
+    // The holder's join over the same pulls (merge-distinct, then join).
+    StructuralJoinIterator join =
+        JoinGathered(self->pattern_, std::move(gather->lists));
     self->FinishJoinTask(task, join.TakeAnswers(), join.TakeMatchedDocs());
   };
 
   for (size_t node = 0; node < jt.inputs.size(); ++node) {
     for (const index::DppBlockInfo& block : jt.inputs[node]) {
-      GetSpec spec;
-      spec.key = block.key;
-      spec.pipelined = false;
-      spec.lo = block.cond.lo < jt.window.lo ? jt.window.lo : block.cond.lo;
-      spec.hi = jt.window.hi < block.cond.hi ? jt.window.hi : block.cond.hi;
-      spec.retry = options_.fetch_retry;
-      spec.compress = compress_;
-      FallbackPull(gather, node, spec, /*lower_trimmed=*/block.cond.lo < spec.lo,
-                   /*upper_trimmed=*/spec.hi < block.cond.hi, block.count,
+      FallbackPull(gather, node,
+                   TrimToWindow(block, jt.window, options_.fetch_retry,
+                                compress_),
                    /*attempt=*/1, on_all);
     }
   }
 }
 
 void QueryExecutor::FallbackPull(std::shared_ptr<JoinGather> gather,
-                                 size_t node, GetSpec spec, bool lower_trimmed,
-                                 bool upper_trimmed, uint64_t expected,
+                                 size_t node, TrimmedPull pull,
                                  uint32_t attempt,
                                  std::function<void()> on_all) {
   auto self = shared_from_this();
   auto staged = std::make_shared<PostingList>();
   peer_->GetBlocks(
-      spec, [self, gather, node, spec, lower_trimmed, upper_trimmed, expected,
-             attempt, on_all, staged](PostingList postings, bool last,
-                                      bool complete) {
+      pull.spec, [self, gather, node, pull, attempt, on_all, staged](
+                     PostingList postings, bool last, bool complete) {
         if (self->finished_) return;
         staged->insert(staged->end(), postings.begin(), postings.end());
         if (!last) return;
         PostingList got = std::move(*staged);
-        // Same verification as the remote holder: an untrimmed pull must
-        // match the directory count and a one-end-trimmed pull must not be
-        // empty — a data-less successor that inherited a crashed holder's
-        // key range answers instantly with an empty, "complete" list.
-        const bool suspect =
-            !complete ||
-            (!lower_trimmed && !upper_trimmed && got.size() < expected) ||
-            (lower_trimmed != upper_trimmed && got.empty() && expected > 0);
+        // Same verification as the remote holder.
+        const bool suspect = pull.Suspect(complete, got.size());
         const dht::RetryPolicy& policy = self->options_.fetch_retry;
         if (suspect && policy.enabled() && attempt <= policy.max_retries) {
           // Re-pull after the crashed holder has had a chance to come back
           // and reclaim its range: the resend re-resolves the key owner.
           const double delay = policy.timeout_s + policy.BackoffDelay(attempt);
           self->peer_->network()->scheduler()->After(
-              delay, [self, gather, node, spec, lower_trimmed, upper_trimmed,
-                      expected, attempt, on_all]() {
+              delay, [self, gather, node, pull, attempt, on_all]() {
                 if (self->finished_) return;
-                self->FallbackPull(gather, node, spec, lower_trimmed,
-                                   upper_trimmed, expected, attempt + 1,
-                                   on_all);
+                self->FallbackPull(gather, node, pull, attempt + 1, on_all);
               });
           return;
         }
@@ -740,15 +723,8 @@ void QueryExecutor::FallbackPull(std::shared_ptr<JoinGather> gather,
         }
         // These postings really crossed to the query peer: full ingress
         // accounting, exactly like a kDpp block fetch.
-        self->metrics_.postings_received += got.size();
-        self->metrics_.posting_bytes += index::codec::RawBytes(got);
-        self->metrics_.posting_wire_bytes +=
-            TransferWireBytes(got, self->compress_);
+        self->CountIngress(got, self->compress_);
         self->metrics_.blocks_fetched++;
-        C().postings_received->Increment(got.size());
-        C().posting_bytes->Increment(index::codec::RawBytes(got));
-        C().posting_wire_bytes->Increment(
-            TransferWireBytes(got, self->compress_));
         C().dpp_blocks_fetched->Increment();
         gather->lists[node].push_back(std::move(got));
         if (--gather->pending == 0) on_all();
@@ -795,14 +771,9 @@ void QueryExecutor::PumpDppFetches(size_t node) {
          st.next_to_issue < st.blocks.size()) {
     const size_t idx = st.next_to_issue++;
     st.outstanding++;
-    const index::DppBlockInfo& block = st.blocks[idx];
-    GetSpec spec;
-    spec.key = block.key;
-    spec.pipelined = false;
-    spec.lo = block.cond.lo < dpp_window_.lo ? dpp_window_.lo : block.cond.lo;
-    spec.hi = dpp_window_.hi < block.cond.hi ? dpp_window_.hi : block.cond.hi;
-    spec.retry = options_.fetch_retry;
-    spec.compress = compress_;
+    const TrimmedPull pull = TrimToWindow(st.blocks[idx], dpp_window_,
+                                          options_.fetch_retry, compress_);
+    const GetSpec& spec = pull.spec;
     if (options_.cache_postings) {
       if (auto cached = client_->posting_cache().Lookup(
               spec.key, spec.lo, spec.hi,
@@ -830,9 +801,8 @@ void QueryExecutor::PumpDppFetches(size_t node) {
     }
     const uint64_t pre_version =
         options_.cache_postings ? peer_->AuthoritativeVersion(spec.key) : 0;
-    const bool trimmed = block.cond.lo < dpp_window_.lo ||
-                         dpp_window_.hi < block.cond.hi;
-    const uint64_t expected = block.count;
+    const bool trimmed = pull.lower_trimmed || pull.upper_trimmed;
+    const uint64_t expected = pull.expected;
     peer_->GetBlocks(spec, [self, node, idx, trimmed, expected, spec,
                             pre_version](PostingList postings, bool last,
                                          bool complete) {
@@ -855,15 +825,8 @@ void QueryExecutor::PumpDppFetches(size_t node) {
         sound = false;
       }
       DppNodeState& state = self->dpp_[node];
-      self->metrics_.postings_received += postings.size();
-      self->metrics_.posting_bytes += index::codec::RawBytes(postings);
-      self->metrics_.posting_wire_bytes +=
-          TransferWireBytes(postings, self->compress_);
+      self->CountIngress(postings, self->compress_);
       self->metrics_.blocks_fetched++;
-      C().postings_received->Increment(postings.size());
-      C().posting_bytes->Increment(index::codec::RawBytes(postings));
-      C().posting_wire_bytes->Increment(
-          TransferWireBytes(postings, self->compress_));
       C().dpp_blocks_fetched->Increment();
       auto shared =
           std::make_shared<const PostingList>(std::move(postings));
@@ -919,13 +882,18 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
 
 // -- Bloom reducers ---------------------------------------------------------
 
-void QueryExecutor::StartReducer(ReduceMode mode) {
+ReducePlan QueryExecutor::NewReducePlan(ReduceMode mode) const {
   ReducePlan plan;
   plan.query_id = query_id_;
   plan.query_peer = peer_->node();
   plan.mode = mode;
   plan.ab_params = options_.ab_params;
   plan.db_params = options_.db_params;
+  return plan;
+}
+
+void QueryExecutor::StartReducer(ReduceMode mode) {
+  ReducePlan plan = NewReducePlan(mode);
   for (size_t node = 0; node < pattern_.size(); ++node) {
     ReducePlanNode pn;
     pn.node = static_cast<int>(node);
@@ -956,17 +924,10 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   const size_t node = static_cast<size_t>(list->node);
   KADOP_CHECK(node < pattern_.size(), "bad node in reduced list");
   KADOP_CHECK(!stream_closed_[node], "duplicate reduced list");
-  metrics_.postings_received += list->postings.size();
-  metrics_.posting_bytes += index::codec::RawBytes(list->postings);
-  metrics_.posting_wire_bytes +=
-      TransferWireBytes(list->postings, list->compressed);
+  CountIngress(list->postings, list->compressed);
   metrics_.full_postings += list->full_count;
   metrics_.ab_filter_bytes += list->ab_filter_bytes;
   metrics_.db_filter_bytes += list->db_filter_bytes;
-  C().postings_received->Increment(list->postings.size());
-  C().posting_bytes->Increment(index::codec::RawBytes(list->postings));
-  C().posting_wire_bytes->Increment(
-      TransferWireBytes(list->postings, list->compressed));
   C().ab_filter_bytes->Increment(list->ab_filter_bytes);
   C().db_filter_bytes->Increment(list->db_filter_bytes);
   if (!list->postings.empty()) join_.Append(node, list->postings);
@@ -1012,6 +973,11 @@ void QueryExecutor::FetchTermCounts(std::function<void()> then) {
 }
 
 void QueryExecutor::StartSubQuery() {
+  // kAuto fetched the counts already when it picked this plan.
+  if (!term_counts_.empty()) {
+    OnTermCountsReady();
+    return;
+  }
   FetchTermCounts([this]() { OnTermCountsReady(); });
 }
 
@@ -1180,23 +1146,7 @@ void QueryExecutor::StartAuto() {
       if (better) best = &c;
     }
     metrics_.effective_strategy = best->strategy;
-    switch (best->strategy) {
-      case QueryStrategy::kSubQueryReducer:
-        OnTermCountsReady();
-        break;
-      case QueryStrategy::kDpp:
-        StartDpp();
-        break;
-      case QueryStrategy::kDppJoin:
-        StartDppJoin();
-        break;
-      case QueryStrategy::kView:
-        StartView();
-        break;
-      default:
-        StartBaseline();
-        break;
-    }
+    Dispatch(best->strategy);
   });
 }
 
@@ -1213,12 +1163,7 @@ void QueryExecutor::OnTermCountsReady() {
     path.push_back(q);
   }
 
-  ReducePlan plan;
-  plan.query_id = query_id_;
-  plan.query_peer = peer_->node();
-  plan.mode = ReduceMode::kDb;
-  plan.ab_params = options_.ab_params;
-  plan.db_params = options_.db_params;
+  ReducePlan plan = NewReducePlan(ReduceMode::kDb);
   for (size_t i = 0; i < path.size(); ++i) {
     ReducePlanNode pn;
     pn.node = path[i];
@@ -1283,17 +1228,7 @@ void QueryExecutor::FallbackFromView() {
   metrics_.effective_strategy = fallback;
   tracer.Annotate(span_, "view_fallback",
                   std::string(QueryStrategyName(fallback)));
-  switch (fallback) {
-    case QueryStrategy::kDppJoin:
-      StartDppJoin();
-      break;
-    case QueryStrategy::kDpp:
-      StartDpp();
-      break;
-    default:
-      StartBaseline();
-      break;
-  }
+  Dispatch(fallback);
 }
 
 void QueryExecutor::ServeFromView() {
@@ -1332,16 +1267,9 @@ void QueryExecutor::ServeFromView() {
       // full lists in the normalized-volume denominator (full_postings),
       // which understates the denominator on purpose — the extent is what
       // this strategy would fetch at worst.
-      self->metrics_.postings_received += block.size();
-      self->metrics_.posting_bytes += index::codec::RawBytes(block);
-      const size_t wire = TransferWireBytes(block, self->compress_);
-      self->metrics_.posting_wire_bytes += wire;
+      gather->wire_bytes += self->CountIngress(block, self->compress_);
       self->metrics_.full_postings += block.size();
       self->metrics_.blocks_fetched++;
-      gather->wire_bytes += wire;
-      C().postings_received->Increment(block.size());
-      C().posting_bytes->Increment(index::codec::RawBytes(block));
-      C().posting_wire_bytes->Increment(wire);
       PostingList& column = gather->columns[v];
       column.insert(column.end(), block.begin(), block.end());
       if (!last) return;
@@ -1420,8 +1348,8 @@ void QueryExecutor::Finish(bool complete) {
     result.answers = std::move(merged_answers_);
     result.matched_docs = std::move(merged_docs_);
   } else {
-    result.answers = join_.answers();
-    result.matched_docs = join_.matched_docs();
+    result.answers = join_.TakeAnswers();
+    result.matched_docs = join_.TakeMatchedDocs();
   }
   result.metrics = metrics_;
   (complete ? C().completed : C().incomplete)->Increment();

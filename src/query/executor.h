@@ -11,6 +11,7 @@
 #include "dht/peer.h"
 #include "index/dpp.h"
 #include "obs/trace.h"
+#include "query/block_join.h"
 #include "query/messages.h"
 #include "query/posting_cache.h"
 #include "query/tree_pattern.h"
@@ -262,6 +263,14 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
 
  private:
   void FailInvalid(const std::string& why);
+  /// Runs `strategy`'s Start* path: the one map from a strategy to its
+  /// evaluation, for the submitted strategy, kAuto's pick and kView's
+  /// fallback alike.
+  void Dispatch(QueryStrategy strategy);
+  /// Ingress ledger: counts a posting transfer that reached the query peer
+  /// (postings, raw bytes, wire bytes) on both `metrics_` and the registry;
+  /// returns its wire size.
+  size_t CountIngress(const index::PostingList& postings, bool compressed);
   /// Full-list fetch of `node`'s term with cache consult/fill: used by the
   /// baseline strategy and the sub-query plan's off-path fetches (the only
   /// difference being whether blocks_fetched is counted).
@@ -287,21 +296,25 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// without being able to verify its inputs: fetch the task's input
   /// blocks here and join locally, like a one-task kDpp.
   void RunLocalJoinFallback(size_t task);
-  /// One verified fallback fetch: pulls `spec`, checks the result against
+  /// One verified fallback fetch: runs `pull`, checks the result against
   /// the directory count, and re-pulls (the resend re-resolves the key
   /// owner) when a verifiably short answer comes back — e.g. from the
   /// data-less successor that inherited a crashed holder's range.
   struct JoinGather;  // accumulated fallback inputs (defined in executor.cc)
   void FallbackPull(std::shared_ptr<JoinGather> gather, size_t node,
-                    dht::GetSpec spec, bool lower_trimmed, bool upper_trimmed,
-                    uint64_t expected, uint32_t attempt,
+                    TrimmedPull pull, uint32_t attempt,
                     std::function<void()> on_all);
   void FinishJoinTask(size_t task, std::vector<Answer> answers,
                       std::vector<index::DocId> matched_docs);
   /// Appends completed tasks to the merged result in task (= document)
   /// order; finishes the query when every task has been delivered.
   void DeliverReadyJoinTasks();
+  /// A reduce plan with this query's header (id, peer, mode, filter
+  /// parameters) and no nodes yet.
+  [[nodiscard]] ReducePlan NewReducePlan(ReduceMode mode) const;
   void StartReducer(ReduceMode mode);
+  /// kSubQueryReducer: fetches the term counts (unless kAuto already did)
+  /// and plans the sub-query.
   void StartSubQuery();
   void StartAuto();
   /// kView: resolve a rewrite (unless kAuto already stashed one), fetch and

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <new>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "query/tree_pattern.h"
 #include "query/twig_join.h"
 
@@ -17,22 +15,6 @@ using index::Posting;
 using index::PostingList;
 
 namespace {
-
-struct IterCounters {
-  obs::Counter* blocks_decoded;
-  obs::Counter* blocks_skipped_undecoded;
-
-  IterCounters() {
-    auto& r = obs::MetricRegistry::Default();
-    blocks_decoded = r.GetCounter("iter.blocks_decoded");
-    blocks_skipped_undecoded = r.GetCounter("iter.blocks_skipped_undecoded");
-  }
-};
-
-IterCounters& C() {
-  static IterCounters counters;
-  return counters;
-}
 
 /// Smallest posting of document `doc` — the SkipTo target that lands on
 /// the first posting with doc id >= `doc`.
@@ -59,43 +41,10 @@ IterCounters& C() {
 
 }  // namespace
 
-// --- Arena ----------------------------------------------------------------
-
-void* Arena::Allocate(size_t bytes, size_t align) {
-  KADOP_CHECK(align != 0 && (align & (align - 1)) == 0,
-              "arena: alignment must be a power of two");
-  if (bytes == 0) bytes = 1;
-  for (;;) {
-    if (current_ < chunks_.size()) {
-      Chunk& c = chunks_[current_];
-      const size_t aligned = (used_ + align - 1) & ~(align - 1);
-      if (aligned + bytes <= c.size) {
-        used_ = aligned + bytes;
-        allocated_bytes_ += bytes;
-        return c.data.get() + aligned;
-      }
-      ++current_;
-      used_ = 0;
-      continue;  // try the next (possibly recycled) chunk
-    }
-    const size_t want = std::max(chunk_bytes_, bytes + align);
-    chunks_.push_back(Chunk{std::make_unique<uint8_t[]>(want), want});
-    current_ = chunks_.size() - 1;
-    used_ = 0;
-  }
-}
-
-void Arena::Reset() {
-  current_ = 0;
-  used_ = 0;
-  allocated_bytes_ = 0;
-}
-
 // --- PostingBlock ---------------------------------------------------------
 
 PostingBlock PostingBlock::FromList(PostingList list) {
   PostingBlock b;
-  b.count_ = list.size();
   if (!list.empty()) b.bounds_ = Condition{list.front(), list.back()};
   b.owned_ = std::move(list);
   b.data_ = b.owned_.data();
@@ -107,7 +56,6 @@ PostingBlock PostingBlock::FromShared(
     std::shared_ptr<const PostingList> list) {
   KADOP_CHECK(list != nullptr, "iterator: null shared block");
   PostingBlock b;
-  b.count_ = list->size();
   if (!list->empty()) b.bounds_ = Condition{list->front(), list->back()};
   b.data_ = list->data();
   b.size_ = list->size();
@@ -115,76 +63,9 @@ PostingBlock PostingBlock::FromShared(
   return b;
 }
 
-PostingBlock PostingBlock::FromEncoded(
-    std::shared_ptr<const std::vector<uint8_t>> bytes, Condition bounds,
-    uint64_t count) {
-  KADOP_CHECK(bytes != nullptr, "iterator: null encoded block");
-  KADOP_CHECK(count == 0 || !(bounds.hi < bounds.lo),
-              "iterator: encoded block bounds inverted");
-  PostingBlock b;
-  b.encoded_ = std::move(bytes);
-  b.bounds_ = bounds;
-  b.count_ = count;
-  return b;
-}
-
-Result<PostingBlock> PostingBlock::FromEncodedWithHeader(
-    std::shared_ptr<const std::vector<uint8_t>> bytes) {
-  KADOP_CHECK(bytes != nullptr, "iterator: null encoded block");
-  index::codec::BlockHeader header;
-  size_t payload = 0;
-  if (Status s = index::codec::ParseBlockHeader(bytes->data(), bytes->size(),
-                                                &header, &payload);
-      !s.ok()) {
-    return s;
-  }
-  PostingBlock b;
-  b.encoded_ = std::move(bytes);
-  b.bounds_ = header.bounds;
-  b.count_ = header.count;
-  b.payload_offset_ = payload;
-  return b;
-}
-
-void PostingBlock::EnsureDecoded(Arena* arena) {
-  if (data_ != nullptr) return;
-  const uint8_t* payload = encoded_->data() + payload_offset_;
-  const size_t payload_size = encoded_->size() - payload_offset_;
-  if (arena != nullptr) {
-    Posting* span = arena->AllocateArray<Posting>(count_);
-    size_t n = 0;
-    const Status s = index::codec::DecodePostingsInto(payload, payload_size,
-                                                      span, count_, &n);
-    KADOP_CHECK(s.ok(), "iterator: corrupt encoded block");
-    KADOP_CHECK(n == count_, "iterator: block count disagrees with header");
-    data_ = span;
-    size_ = n;
-  } else {
-    const Status s =
-        index::codec::DecodePostings(payload, payload_size, &owned_);
-    KADOP_CHECK(s.ok(), "iterator: corrupt encoded block");
-    KADOP_CHECK(owned_.size() == count_,
-                "iterator: block count disagrees with header");
-    data_ = owned_.data();
-    size_ = owned_.size();
-  }
-  KADOP_CHECK(size_ == 0 || (data_[0] == bounds_.lo &&
-                             data_[size_ - 1] == bounds_.hi),
-              "iterator: block bounds disagree with payload");
-}
-
 // --- PostingListIterator --------------------------------------------------
 
-PostingListIterator PostingListIterator::ForEstimate(uint64_t estimate) {
-  PostingListIterator it;
-  it.is_estimate_ = true;
-  it.estimate_only_ = estimate;
-  it.closed_ = true;
-  return it;
-}
-
 void PostingListIterator::Push(PostingBlock block) {
-  KADOP_CHECK(!is_estimate_, "iterator: pushing into an estimate iterator");
   KADOP_CHECK(!closed_, "iterator: pushing into a closed stream");
   if (block.empty()) return;
   KADOP_CHECK(blocks_.empty() ||
@@ -194,25 +75,15 @@ void PostingListIterator::Push(PostingBlock block) {
   blocks_.push_back(std::move(block));
 }
 
-PostingBlock& PostingListIterator::FrontDecoded() {
-  PostingBlock& b = blocks_.front();
-  if (!b.decoded()) {
-    b.EnsureDecoded(arena_);
-    ++blocks_decoded_;
-    C().blocks_decoded->Increment();
-  }
-  return b;
-}
-
 void PostingListIterator::PopFrontBlock() {
+  buffered_ -= blocks_.front().size_ - cursor_;
   blocks_.pop_front();
   cursor_ = 0;
 }
 
 bool PostingListIterator::Read(Posting* out) {
-  KADOP_CHECK(!is_estimate_, "iterator: reading an estimate iterator");
   if (blocks_.empty()) return false;
-  PostingBlock& b = FrontDecoded();
+  const PostingBlock& b = blocks_.front();
   *out = b.data_[cursor_++];
   --buffered_;
   if (cursor_ == b.size_) PopFrontBlock();
@@ -220,25 +91,16 @@ bool PostingListIterator::Read(Posting* out) {
 }
 
 bool PostingListIterator::SkipTo(const Posting& target, Posting* out) {
-  KADOP_CHECK(!is_estimate_, "iterator: reading an estimate iterator");
   while (!blocks_.empty()) {
-    PostingBlock& b = blocks_.front();
-    if (!b.decoded() && b.bounds().hi < target) {
-      // The whole block lies below the target: drop it without decoding.
-      buffered_ -= b.count();
-      ++blocks_skipped_undecoded_;
-      C().blocks_skipped_undecoded->Increment();
-      PopFrontBlock();
-      continue;
-    }
-    PostingBlock& d = FrontDecoded();
-    const size_t i = GallopLowerBound(d.data_, cursor_, d.size_, target);
-    buffered_ -= i - cursor_;
-    if (i < d.size_) {
-      *out = d.data_[i];
-      cursor_ = i + 1;
+    const PostingBlock& b = blocks_.front();
+    // A block whose last posting lies below the target is dropped whole.
+    if (!(b.bounds().hi < target)) {
+      const size_t i = GallopLowerBound(b.data_, cursor_, b.size_, target);
+      buffered_ -= i - cursor_;
+      cursor_ = i;
+      *out = b.data_[cursor_++];
       --buffered_;
-      if (cursor_ == d.size_) PopFrontBlock();
+      if (cursor_ == b.size_) PopFrontBlock();
       return true;
     }
     PopFrontBlock();
@@ -247,7 +109,7 @@ bool PostingListIterator::SkipTo(const Posting& target, Posting* out) {
 }
 
 uint64_t PostingListIterator::EstimateResultsAmount() const {
-  return is_estimate_ ? estimate_only_ : buffered_;
+  return buffered_;
 }
 
 void PostingListIterator::Abort() {
@@ -259,10 +121,7 @@ void PostingListIterator::Abort() {
 
 DocId PostingListIterator::HeadDoc() const {
   KADOP_CHECK(!blocks_.empty(), "iterator: head of an empty stream");
-  const PostingBlock& b = blocks_.front();
-  // Invariant: a partially consumed front block is always decoded.
-  if (!b.decoded()) return b.bounds().lo.doc_id();
-  return b.data_[cursor_].doc_id();
+  return blocks_.front().data_[cursor_].doc_id();
 }
 
 DocId PostingListIterator::LastBufferedDoc() const {
@@ -271,55 +130,32 @@ DocId PostingListIterator::LastBufferedDoc() const {
 }
 
 size_t PostingListIterator::SkipBelowDoc(DocId doc) {
-  size_t dropped = 0;
+  const uint64_t before = buffered_;
   while (!blocks_.empty()) {
-    PostingBlock& b = blocks_.front();
-    if (!b.decoded()) {
-      if (b.bounds().hi.doc_id() < doc) {
-        dropped += b.count();
-        buffered_ -= b.count();
-        ++blocks_skipped_undecoded_;
-        C().blocks_skipped_undecoded->Increment();
-        PopFrontBlock();
-        continue;
-      }
-      if (!(b.bounds().lo.doc_id() < doc)) break;  // head already >= doc
-    }
-    PostingBlock& d = FrontDecoded();
-    const size_t i =
-        GallopLowerBound(d.data_, cursor_, d.size_, DocFloor(doc));
-    dropped += i - cursor_;
-    buffered_ -= i - cursor_;
-    if (i < d.size_) {
+    const PostingBlock& b = blocks_.front();
+    // A block whose last posting lies below `doc` is dropped whole.
+    if (!(b.bounds().hi.doc_id() < doc)) {
+      const size_t i =
+          GallopLowerBound(b.data_, cursor_, b.size_, DocFloor(doc));
+      buffered_ -= i - cursor_;
       cursor_ = i;
       break;
     }
     PopFrontBlock();
   }
-  return dropped;
+  return static_cast<size_t>(before - buffered_);
 }
 
 size_t PostingListIterator::SkipAll() {
-  size_t dropped = 0;
-  while (!blocks_.empty()) {
-    const PostingBlock& b = blocks_.front();
-    const size_t remaining =
-        b.decoded() ? b.size_ - cursor_ : static_cast<size_t>(b.count());
-    dropped += remaining;
-    buffered_ -= remaining;
-    if (!b.decoded()) {
-      ++blocks_skipped_undecoded_;
-      C().blocks_skipped_undecoded->Increment();
-    }
-    PopFrontBlock();
-  }
-  return dropped;
+  const uint64_t before = buffered_;
+  while (!blocks_.empty()) PopFrontBlock();
+  return static_cast<size_t>(before);
 }
 
 size_t PostingListIterator::TakeDoc(DocId doc, PostingList& out) {
   size_t took = 0;
   while (!blocks_.empty() && HeadDoc() == doc) {
-    PostingBlock& b = FrontDecoded();
+    const PostingBlock& b = blocks_.front();
     while (cursor_ < b.size_ && b.data_[cursor_].doc_id() == doc) {
       out.push_back(b.data_[cursor_]);
       ++cursor_;
@@ -392,95 +228,6 @@ void UnionIterator::Abort() {
     c.has_peek = false;
     c.done = true;
   }
-}
-
-// --- IntersectIterator ----------------------------------------------------
-
-IntersectIterator::IntersectIterator(
-    std::vector<std::unique_ptr<IndexIterator>> children)
-    : children_(std::move(children)) {
-  KADOP_CHECK(!children_.empty(), "iterator: intersect needs children");
-  for (const auto& c : children_) {
-    KADOP_CHECK(c != nullptr, "iterator: null intersect child");
-  }
-  peeks_.resize(children_.size());
-  has_peek_.assign(children_.size(), 0);
-}
-
-bool IntersectIterator::AlignOnDoc() {
-  for (;;) {
-    const DocId d = pending_.doc_id();
-    DocId furthest = d;
-    bool all_match = true;
-    for (size_t i = 1; i < children_.size(); ++i) {
-      if (!has_peek_[i] || peeks_[i].doc_id() < d) {
-        if (!children_[i]->SkipTo(DocFloor(d), &peeks_[i])) {
-          return false;  // a child ran out: no further common document
-        }
-        has_peek_[i] = 1;
-      }
-      const DocId di = peeks_[i].doc_id();
-      if (di != d) {
-        all_match = false;
-        if (furthest < di) furthest = di;
-      }
-    }
-    if (all_match) {
-      agreed_doc_ = d;
-      emitting_ = true;
-      return true;
-    }
-    if (!children_[0]->SkipTo(DocFloor(furthest), &pending_)) return false;
-  }
-}
-
-bool IntersectIterator::Read(Posting* out) {
-  if (done_) return false;
-  for (;;) {
-    if (!has_pending_) {
-      if (!children_[0]->Read(&pending_)) {
-        done_ = true;
-        return false;
-      }
-      has_pending_ = true;
-    }
-    if (emitting_ && pending_.doc_id() == agreed_doc_) {
-      *out = pending_;
-      has_pending_ = false;
-      return true;
-    }
-    emitting_ = false;
-    if (!AlignOnDoc()) {
-      done_ = true;
-      return false;
-    }
-  }
-}
-
-bool IntersectIterator::SkipTo(const Posting& target, Posting* out) {
-  if (done_) return false;
-  if (!has_pending_ || pending_ < target) {
-    if (!children_[0]->SkipTo(target, &pending_)) {
-      done_ = true;
-      return false;
-    }
-    has_pending_ = true;
-    if (emitting_ && pending_.doc_id() != agreed_doc_) emitting_ = false;
-  }
-  return Read(out);
-}
-
-uint64_t IntersectIterator::EstimateResultsAmount() const {
-  uint64_t best = std::numeric_limits<uint64_t>::max();
-  for (const auto& c : children_) {
-    best = std::min(best, c->EstimateResultsAmount());
-  }
-  return best;
-}
-
-void IntersectIterator::Abort() {
-  for (auto& c : children_) c->Abort();
-  done_ = true;
 }
 
 // --- MergeDistinct --------------------------------------------------------
@@ -572,19 +319,27 @@ const std::vector<DocId>& StructuralJoinIterator::matched_docs() const {
 }
 
 std::vector<Answer> StructuralJoinIterator::TakeAnswers() {
-  return std::vector<Answer>(join_->answers());
+  return join_->TakeAnswers();
 }
 
 std::vector<DocId> StructuralJoinIterator::TakeMatchedDocs() {
-  return std::vector<DocId>(join_->matched_docs());
+  return join_->TakeMatchedDocs();
 }
 
 uint64_t StructuralJoinIterator::postings_consumed() const {
   return join_->postings_consumed();
 }
 
-uint64_t StructuralJoinIterator::blocks_skipped_undecoded() const {
-  return join_->blocks_skipped_undecoded();
+StructuralJoinIterator JoinGathered(
+    const TreePattern& pattern,
+    std::vector<std::vector<PostingList>> gathered) {
+  StructuralJoinIterator join(pattern);
+  for (size_t node = 0; node < gathered.size(); ++node) {
+    join.AddInput(node, PostingBlock::FromList(
+                            MergeDistinct(std::move(gathered[node]))));
+  }
+  join.Run();
+  return join;
 }
 
 uint64_t EstimateTwigResults(const TreePattern& pattern,
@@ -592,16 +347,7 @@ uint64_t EstimateTwigResults(const TreePattern& pattern,
   KADOP_CHECK(counts.size() == pattern.size(),
               "iterator: one count per pattern node");
   if (counts.empty()) return 0;
-  std::vector<std::unique_ptr<IndexIterator>> leaves;
-  leaves.reserve(counts.size());
-  for (uint64_t c : counts) {
-    leaves.push_back(std::make_unique<PostingListIterator>(
-        PostingListIterator::ForEstimate(c)));
-  }
-  // The runtime joins the streams document-wise; the twig result count is
-  // bounded by the document-level intersection of its leaves.
-  IntersectIterator tree(std::move(leaves));
-  return tree.EstimateResultsAmount();
+  return *std::min_element(counts.begin(), counts.end());
 }
 
 }  // namespace kadop::query

@@ -39,10 +39,7 @@ JoinCounters& C() {
 TwigJoin::TwigJoin(const TreePattern& pattern, size_t max_answers)
     : pattern_(pattern), max_answers_(max_answers) {
   KADOP_CHECK(!pattern_.nodes.empty(), "empty pattern");
-  streams_.reserve(pattern_.size());
-  for (size_t i = 0; i < pattern_.size(); ++i) {
-    streams_.emplace_back(&arena_);
-  }
+  streams_.resize(pattern_.size());
   scratch_.resize(pattern_.size());
 }
 
@@ -73,12 +70,6 @@ void TwigJoin::AppendShared(size_t node,
   AppendBlock(node, PostingBlock::FromShared(std::move(postings)));
 }
 
-void TwigJoin::AppendEncoded(size_t node,
-                             std::shared_ptr<const std::vector<uint8_t>> bytes,
-                             index::Condition bounds, uint64_t count) {
-  AppendBlock(node, PostingBlock::FromEncoded(std::move(bytes), bounds, count));
-}
-
 void TwigJoin::AppendBlock(size_t node, PostingBlock block) {
   KADOP_CHECK(node < streams_.size(), "bad stream index");
   PostingListIterator& s = streams_[node];
@@ -101,20 +92,6 @@ bool TwigJoin::Done() const {
     if (!s.Exhausted()) return false;
   }
   return true;
-}
-
-uint64_t TwigJoin::blocks_skipped_undecoded() const {
-  uint64_t total = 0;
-  for (const PostingListIterator& s : streams_) {
-    total += s.blocks_skipped_undecoded();
-  }
-  return total;
-}
-
-uint64_t TwigJoin::blocks_decoded() const {
-  uint64_t total = 0;
-  for (const PostingListIterator& s : streams_) total += s.blocks_decoded();
-  return total;
 }
 
 size_t TwigJoin::Advance() {

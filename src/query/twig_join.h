@@ -4,9 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "index/condition.h"
 #include "index/posting.h"
 #include "query/iterator.h"
 #include "query/tree_pattern.h"
@@ -54,10 +54,9 @@ size_t EnumerateMatches(const TreePattern& pattern, const index::DocId& doc,
 /// Streams are `PostingListIterator`s, so the join leapfrogs at document
 /// granularity: when the stream heads disagree on a document, every
 /// posting below the furthest head provably cannot match and is skipped in
-/// bulk — and encoded blocks that fall entirely below the leapfrog target
-/// are dropped without ever being decoded. Answers and
-/// `postings_consumed()` totals are identical to the posting-at-a-time
-/// discipline; only the work to get there shrinks.
+/// bulk — blocks that fall entirely below the leapfrog target are dropped
+/// whole. Answers and `postings_consumed()` totals are identical to the
+/// posting-at-a-time discipline; only the work to get there shrinks.
 class TwigJoin {
  public:
   /// `max_answers` caps enumeration (protection against cross-product
@@ -79,14 +78,7 @@ class TwigJoin {
   void AppendShared(size_t node,
                     std::shared_ptr<const index::PostingList> postings);
 
-  /// Lazy variant: an encoded `EncodePostings` block with its exact
-  /// `[first, last]` posting bounds and count. Decoded on first touch, or
-  /// never if the document leapfrog skips past `bounds.hi`.
-  void AppendEncoded(size_t node,
-                     std::shared_ptr<const std::vector<uint8_t>> bytes,
-                     index::Condition bounds, uint64_t count);
-
-  /// Lowest-level feed: any storage form `PostingBlock` supports.
+  /// Lowest-level feed: either storage form `PostingBlock` supports.
   void AppendBlock(size_t node, PostingBlock block);
 
   /// Marks `node`'s stream as ended.
@@ -106,13 +98,13 @@ class TwigJoin {
   const std::vector<index::DocId>& matched_docs() const {
     return matched_docs_;
   }
+  /// Moves the results out; `answers()`/`matched_docs()` are empty after.
+  std::vector<Answer> TakeAnswers() { return std::move(answers_); }
+  std::vector<index::DocId> TakeMatchedDocs() {
+    return std::move(matched_docs_);
+  }
   /// Total postings consumed across all streams (bulk skips included).
   size_t postings_consumed() const { return consumed_; }
-
-  /// Encoded blocks dropped whole by the document leapfrog, never decoded.
-  [[nodiscard]] uint64_t blocks_skipped_undecoded() const;
-  /// Encoded blocks the join did decode (lazily, on first touch).
-  [[nodiscard]] uint64_t blocks_decoded() const;
 
  private:
   /// Joins one document's candidates; appends answers.
@@ -121,7 +113,6 @@ class TwigJoin {
 
   const TreePattern pattern_;
   const size_t max_answers_;
-  Arena arena_;  // decode scratch; lives as long as the join
   std::vector<PostingListIterator> streams_;
   std::vector<index::PostingList> scratch_;  // per-doc candidates, reused
   std::vector<Answer> answers_;

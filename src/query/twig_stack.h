@@ -27,6 +27,8 @@ namespace kadop::query {
 /// Word pseudo-nodes (equal intervals one level deeper) are handled by
 /// ordering heads with outer-elements-first tie-breaking and using the
 /// level-aware containment test.
+///
+/// Kept as the reference kernel the tests compare `TwigJoin` against.
 class TwigStackJoin {
  public:
   explicit TwigStackJoin(const TreePattern& pattern);

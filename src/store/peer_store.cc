@@ -44,19 +44,7 @@ void CountBTreeSplit() {
 
 }  // namespace internal
 
-namespace {
-
-/// Each store instance gets its own version epoch: versions from a store
-/// that no longer owns a key (handoff, replica takeover) can never collide
-/// with the new owner's.
-uint64_t NextStoreEpoch() {
-  static uint64_t epoch = 0;
-  return ++epoch;
-}
-
-}  // namespace
-
-PeerStore::PeerStore() : version_epoch_(NextStoreEpoch() << 32) {}
+PeerStore::PeerStore(uint64_t epoch) : version_epoch_(epoch << 32) {}
 
 uint64_t PeerStore::PostingVersion(const std::string& key) const {
   auto it = posting_versions_.find(key);

@@ -97,7 +97,11 @@ class PeerStore {
   void ResetIo() { io_ = IoStats(); }
 
  protected:
-  PeerStore();
+  /// `epoch` goes in the high bits of every version this store hands out.
+  /// The network gives each of its stores a distinct epoch, so versions
+  /// from a store that no longer owns a key (handoff, replica takeover)
+  /// can never collide with the new owner's.
+  explicit PeerStore(uint64_t epoch);
 
   /// Charges one store operation plus `read`/`write` bytes to this
   /// instance's IoStats and the process-wide metrics registry
@@ -120,7 +124,7 @@ class PeerStore {
 /// bytes.
 class BTreePeerStore final : public PeerStore {
  public:
-  BTreePeerStore() = default;
+  explicit BTreePeerStore(uint64_t epoch = 1) : PeerStore(epoch) {}
 
   void AppendPosting(const std::string& key,
                      const index::Posting& posting) override;
@@ -174,7 +178,7 @@ class BTreePeerStore final : public PeerStore {
 /// costs O(n^2) bytes of I/O. This is the Section 3 baseline.
 class NaivePeerStore final : public PeerStore {
  public:
-  NaivePeerStore() = default;
+  explicit NaivePeerStore(uint64_t epoch = 1) : PeerStore(epoch) {}
 
   void AppendPosting(const std::string& key,
                      const index::Posting& posting) override;

@@ -1,9 +1,8 @@
 // Seeded property tests for the posting codec (src/index/codec.h): the
 // group-delta + varint encoding must round-trip every sorted posting list
 // byte-exactly, EncodedBytes must predict the buffer size without
-// allocating, encoded size must be monotone in list length, the block
-// encoder must emit independently decodable posting-aligned blocks, and
-// malformed input must fail with a Corruption status instead of crashing.
+// allocating, encoded size must be monotone in list length, and malformed
+// input must fail with a Corruption status instead of crashing.
 
 #include <gtest/gtest.h>
 
@@ -135,198 +134,6 @@ TEST(CodecTest, AbsurdCountFailsInsteadOfAllocating) {
   PostingList out;
   EXPECT_EQ(codec::DecodePostings(buf, &out).code(),
             StatusCode::kCorruption);
-}
-
-TEST(CodecTest, BlockEncoderEmitsAlignedStandaloneBlocks) {
-  std::mt19937_64 rng(5);
-  const PostingList list = RandomSortedList(rng, 1000);
-  codec::BlockEncoder enc(128);
-  PostingList reassembled;
-  size_t blocks = 0;
-  auto drain = [&](codec::BlockEncoder::Block block) {
-    ++blocks;
-    EXPECT_LE(block.postings.size(), 128u);
-    EXPECT_EQ(block.bytes.size(), codec::EncodedBytes(block.postings));
-    // Posting-aligned: every block decodes standalone.
-    PostingList decoded;
-    ASSERT_TRUE(codec::DecodePostings(block.bytes, &decoded).ok());
-    EXPECT_EQ(decoded, block.postings);
-    reassembled.insert(reassembled.end(), decoded.begin(), decoded.end());
-  };
-  for (const Posting& p : list) {
-    enc.Add(p);
-    if (enc.BlockFull()) drain(enc.Flush());
-  }
-  if (enc.pending() > 0) drain(enc.Flush());
-  EXPECT_EQ(reassembled, list);
-  EXPECT_EQ(blocks, (list.size() + 127) / 128);
-}
-
-TEST(CodecTest, DecodePostingsIntoMatchesHeapPath) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::mt19937_64 rng(seed);
-    for (size_t n : {0u, 1u, 40u, 500u}) {
-      const PostingList list = RandomSortedList(rng, n);
-      const std::vector<uint8_t> buf = codec::EncodePostings(list);
-      std::vector<Posting> span(list.size() + 3);  // slack capacity is fine
-      size_t decoded = 0;
-      ASSERT_TRUE(codec::DecodePostingsInto(buf.data(), buf.size(),
-                                            span.data(), span.size(),
-                                            &decoded)
-                      .ok());
-      ASSERT_EQ(decoded, list.size());
-      EXPECT_TRUE(std::equal(list.begin(), list.end(), span.begin()));
-    }
-  }
-}
-
-TEST(CodecTest, DecodePostingsIntoRejectsEveryTruncation) {
-  std::mt19937_64 rng(13);
-  const PostingList list = RandomSortedList(rng, 40);
-  const std::vector<uint8_t> buf = codec::EncodePostings(list);
-  std::vector<Posting> span(list.size());
-  for (size_t len = 0; len < buf.size(); ++len) {
-    size_t decoded = 0;
-    const Status st = codec::DecodePostingsInto(buf.data(), len, span.data(),
-                                                span.size(), &decoded);
-    EXPECT_FALSE(st.ok()) << "prefix of length " << len << " decoded";
-    EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  }
-}
-
-TEST(CodecTest, DecodePostingsIntoRejectsInsufficientCapacity) {
-  std::mt19937_64 rng(17);
-  const PostingList list = RandomSortedList(rng, 20);
-  const std::vector<uint8_t> buf = codec::EncodePostings(list);
-  std::vector<Posting> span(list.size() - 1);
-  size_t decoded = 0;
-  EXPECT_EQ(codec::DecodePostingsInto(buf.data(), buf.size(), span.data(),
-                                      span.size(), &decoded)
-                .code(),
-            StatusCode::kCorruption);
-}
-
-// ---------------------------------------------------------------------------
-// Block-header framing.
-
-/// RAII flip of the block-header switch (default off for wire compat).
-struct ScopedHeaders {
-  explicit ScopedHeaders(bool on) { codec::SetBlockHeadersEnabled(on); }
-  ~ScopedHeaders() { codec::SetBlockHeadersEnabled(false); }
-};
-
-std::vector<codec::BlockEncoder::Block> EncodeBlocks(const PostingList& list,
-                                                     size_t per_block) {
-  codec::BlockEncoder enc(per_block);
-  std::vector<codec::BlockEncoder::Block> blocks;
-  for (const Posting& p : list) {
-    enc.Add(p);
-    if (enc.BlockFull()) blocks.push_back(enc.Flush());
-  }
-  if (enc.pending() > 0) blocks.push_back(enc.Flush());
-  return blocks;
-}
-
-TEST(CodecTest, BlockHeaderRoundtripsExactBoundsAndCount) {
-  ScopedHeaders on(true);
-  std::mt19937_64 rng(21);
-  const PostingList list = RandomSortedList(rng, 700);
-  PostingList reassembled;
-  for (const auto& block : EncodeBlocks(list, 128)) {
-    // The in-memory block mirror carries the exact first/last posting.
-    ASSERT_FALSE(block.postings.empty());
-    EXPECT_EQ(block.bounds.lo, block.postings.front());
-    EXPECT_EQ(block.bounds.hi, block.postings.back());
-    EXPECT_EQ(block.count, block.postings.size());
-
-    // The wire framing round-trips header and payload, cross-checked.
-    codec::BlockHeader header;
-    PostingList decoded;
-    ASSERT_TRUE(codec::DecodeBlockWithHeader(block.bytes.data(),
-                                             block.bytes.size(), &header,
-                                             &decoded)
-                    .ok());
-    EXPECT_EQ(header.count, block.count);
-    EXPECT_EQ(header.bounds.lo, block.bounds.lo);
-    EXPECT_EQ(header.bounds.hi, block.bounds.hi);
-    EXPECT_EQ(decoded, block.postings);
-
-    // Header-only parse never touches the payload.
-    size_t payload = 0;
-    ASSERT_TRUE(codec::ParseBlockHeader(block.bytes.data(),
-                                        block.bytes.size(), &header, &payload)
-                    .ok());
-    EXPECT_EQ(payload, codec::BlockHeaderBytes(header));
-    reassembled.insert(reassembled.end(), decoded.begin(), decoded.end());
-  }
-  EXPECT_EQ(reassembled, list);
-}
-
-TEST(CodecTest, BlockHeaderDisabledKeepsBytesIdenticalToSeed) {
-  // The wire-compatibility flag: with headers off (the default), Flush()
-  // emits exactly the bare EncodePostings stream of the seeded baselines.
-  std::mt19937_64 rng(23);
-  const PostingList list = RandomSortedList(rng, 300);
-  for (const auto& block : EncodeBlocks(list, 64)) {
-    EXPECT_EQ(block.bytes, codec::EncodePostings(block.postings));
-    // Bounds/count are still filled for in-process consumers.
-    EXPECT_EQ(block.count, block.postings.size());
-    EXPECT_EQ(block.bounds.lo, block.postings.front());
-  }
-}
-
-TEST(CodecTest, BlockHeaderCorruptionIsRejected) {
-  ScopedHeaders on(true);
-  std::mt19937_64 rng(29);
-  const PostingList list = RandomSortedList(rng, 100);
-  const auto blocks = EncodeBlocks(list, 100);
-  ASSERT_EQ(blocks.size(), 1u);
-  const std::vector<uint8_t>& good = blocks[0].bytes;
-
-  codec::BlockHeader header;
-  PostingList out;
-  size_t payload = 0;
-
-  // Bad magic byte.
-  std::vector<uint8_t> bad_magic = good;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_EQ(codec::ParseBlockHeader(bad_magic.data(), bad_magic.size(),
-                                    &header, &payload)
-                .code(),
-            StatusCode::kCorruption);
-
-  // Truncation at every header prefix. The loop uses scratch outputs:
-  // ParseBlockHeader resets them on entry, and `payload` is needed intact
-  // for the tamper below.
-  ASSERT_TRUE(
-      codec::ParseBlockHeader(good.data(), good.size(), &header, &payload)
-          .ok());
-  for (size_t len = 0; len < payload; ++len) {
-    codec::BlockHeader scratch_header;
-    size_t scratch_payload = 0;
-    EXPECT_EQ(codec::ParseBlockHeader(good.data(), len, &scratch_header,
-                                      &scratch_payload)
-                  .code(),
-              StatusCode::kCorruption)
-        << "header prefix of length " << len << " parsed";
-  }
-
-  // A tampered header over an intact payload: ParseBlockHeader cannot
-  // tell, but the decode cross-check must refuse to mis-skip. Flip a low
-  // bit of the hi-posting's level varint (the last header byte).
-  std::vector<uint8_t> tampered = good;
-  tampered[payload - 1] ^= 0x01;
-  EXPECT_EQ(codec::DecodeBlockWithHeader(tampered.data(), tampered.size(),
-                                         &header, &out)
-                .code(),
-            StatusCode::kCorruption);
-
-  // A header spliced onto a truncated payload.
-  std::vector<uint8_t> cut(good.begin(), good.end() - 3);
-  EXPECT_EQ(
-      codec::DecodeBlockWithHeader(cut.data(), cut.size(), &header, &out)
-          .code(),
-      StatusCode::kCorruption);
 }
 
 TEST(CodecTest, WireBytesHonorsCompressionFlag) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -17,6 +18,7 @@
 #include "index/terms.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/block_join.h"
 #include "xml/corpus.h"
 
 namespace kadop::query {
@@ -177,6 +179,81 @@ TEST_F(DistributedJoinTest, CostModelOffersDppJoinOnlyWhenAvailable) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Trimmed pulls: the window clamp and the verification predicate the holder
+// and the query peer's local fallback share.
+
+index::DppBlockInfo BlockOverDocs(uint32_t lo_doc, uint32_t hi_doc,
+                                  uint64_t count) {
+  index::DppBlockInfo block;
+  block.key = "b";
+  block.cond.lo = index::Posting{0, lo_doc, {0, 0, 0}};
+  block.cond.hi = index::Posting{0, hi_doc, {9, 9, 1}};
+  block.count = count;
+  return block;
+}
+
+index::Condition WindowOverDocs(uint32_t lo_doc, uint32_t hi_doc) {
+  return index::Condition{index::Posting{0, lo_doc, {0, 0, 0}},
+                          index::Posting{0, hi_doc, {UINT32_MAX, UINT32_MAX,
+                                                     UINT16_MAX}}};
+}
+
+TEST(TrimmedPullTest, ClampsToTheWindowAndRecordsWhichEndsWereCut) {
+  const index::DppBlockInfo block = BlockOverDocs(10, 20, 7);
+  const TrimmedPull inside = TrimToWindow(block, WindowOverDocs(0, 30), {},
+                                          /*compress=*/true);
+  EXPECT_EQ(inside.spec.key, "b");
+  EXPECT_FALSE(inside.spec.pipelined);
+  EXPECT_TRUE(inside.spec.compress);
+  EXPECT_EQ(inside.spec.lo, block.cond.lo);
+  EXPECT_EQ(inside.spec.hi, block.cond.hi);
+  EXPECT_FALSE(inside.lower_trimmed);
+  EXPECT_FALSE(inside.upper_trimmed);
+  EXPECT_EQ(inside.expected, 7u);
+
+  const index::Condition window = WindowOverDocs(12, 15);
+  const TrimmedPull both = TrimToWindow(block, window, {}, false);
+  EXPECT_EQ(both.spec.lo, window.lo);
+  EXPECT_EQ(both.spec.hi, window.hi);
+  EXPECT_TRUE(both.lower_trimmed);
+  EXPECT_TRUE(both.upper_trimmed);
+}
+
+TEST(TrimmedPullTest, SuspectTruthTable) {
+  const index::DppBlockInfo block = BlockOverDocs(10, 20, 5);
+  const TrimmedPull untrimmed =
+      TrimToWindow(block, WindowOverDocs(0, 30), {}, false);
+  const TrimmedPull low_cut =
+      TrimToWindow(block, WindowOverDocs(15, 30), {}, false);
+  const TrimmedPull high_cut =
+      TrimToWindow(block, WindowOverDocs(0, 15), {}, false);
+  const TrimmedPull both_cut =
+      TrimToWindow(block, WindowOverDocs(12, 15), {}, false);
+
+  // Incomplete: suspect whatever arrived and however it was trimmed.
+  for (const TrimmedPull* p : {&untrimmed, &low_cut, &high_cut, &both_cut}) {
+    EXPECT_TRUE(p->Suspect(/*complete=*/false, 5));
+    EXPECT_TRUE(p->Suspect(/*complete=*/false, 0));
+  }
+  // Untrimmed: must bring the directory count.
+  EXPECT_FALSE(untrimmed.Suspect(true, 5));
+  EXPECT_TRUE(untrimmed.Suspect(true, 4));
+  EXPECT_TRUE(untrimmed.Suspect(true, 0));
+  // One end trimmed: short is fine, empty is not.
+  for (const TrimmedPull* p : {&low_cut, &high_cut}) {
+    EXPECT_FALSE(p->Suspect(true, 2));
+    EXPECT_TRUE(p->Suspect(true, 0));
+  }
+  // Both ends trimmed: a window strictly inside the block may be empty.
+  EXPECT_FALSE(both_cut.Suspect(true, 0));
+  EXPECT_FALSE(both_cut.Suspect(true, 3));
+  // An empty directory block never makes an empty pull suspect.
+  const TrimmedPull empty_low_cut =
+      TrimToWindow(BlockOverDocs(10, 20, 0), WindowOverDocs(15, 30), {}, false);
+  EXPECT_FALSE(empty_low_cut.Suspect(true, 0));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 // Seeded property tests for the iterator-tree query engine
 // (src/query/iterator.h): every combinator must agree with a naive
-// decode-everything oracle on skewed and adversarial posting lists, lazy
-// block decode must actually skip out-of-range encoded blocks (pinned
-// through the blocks_decoded / blocks_skipped_undecoded counters), and
-// the structural join must produce byte-identical answers regardless of
-// whether its inputs arrive decoded, shared, or encoded.
+// flat-list oracle on skewed and adversarial posting lists, skips must
+// drop out-of-range blocks whole with exact accounting, and the
+// structural join must produce byte-identical answers whether its inputs
+// arrive owned or shared.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <random>
 #include <vector>
 
-#include "index/codec.h"
 #include "index/posting.h"
 #include "query/iterator.h"
 #include "query/tree_pattern.h"
@@ -23,7 +21,6 @@
 namespace kadop::query {
 namespace {
 
-using index::Condition;
 using index::DocId;
 using index::Posting;
 using index::PostingList;
@@ -73,31 +70,17 @@ std::vector<PostingList> RandomChunks(std::mt19937_64& rng,
   return chunks;
 }
 
-enum class Storage { kOwned, kShared, kEncoded };
+enum class Storage { kOwned, kShared };
 
 PostingBlock MakeBlock(PostingList chunk, Storage storage) {
-  switch (storage) {
-    case Storage::kOwned:
-      return PostingBlock::FromList(std::move(chunk));
-    case Storage::kShared:
-      return PostingBlock::FromShared(
-          std::make_shared<const PostingList>(std::move(chunk)));
-    case Storage::kEncoded: {
-      const Condition bounds =
-          chunk.empty() ? Condition{} : Condition{chunk.front(), chunk.back()};
-      const uint64_t count = chunk.size();
-      return PostingBlock::FromEncoded(
-          std::make_shared<const std::vector<uint8_t>>(
-              index::codec::EncodePostings(chunk)),
-          bounds, count);
-    }
-  }
-  return PostingBlock::FromList({});  // unreachable
+  if (storage == Storage::kOwned) return PostingBlock::FromList(std::move(chunk));
+  return PostingBlock::FromShared(
+      std::make_shared<const PostingList>(std::move(chunk)));
 }
 
 PostingListIterator MakeIterator(std::mt19937_64& rng, const PostingList& list,
-                                 Storage storage, Arena* arena = nullptr) {
-  PostingListIterator it(arena);
+                                 Storage storage) {
+  PostingListIterator it;
   for (PostingList& chunk : RandomChunks(rng, list)) {
     it.Push(MakeBlock(std::move(chunk), storage));
   }
@@ -123,73 +106,14 @@ PostingList DistinctOracle(const std::vector<PostingList>& lists) {
   return merged;
 }
 
-/// Intersect oracle: postings of lists[0] whose document id appears in
-/// every other list.
-PostingList IntersectOracle(const std::vector<PostingList>& lists) {
-  PostingList out;
-  for (const Posting& p : lists[0]) {
-    bool everywhere = true;
-    for (size_t i = 1; i < lists.size() && everywhere; ++i) {
-      everywhere = std::any_of(
-          lists[i].begin(), lists[i].end(),
-          [&](const Posting& q) { return q.doc_id() == p.doc_id(); });
-    }
-    if (everywhere) out.push_back(p);
-  }
-  return out;
-}
-
-// --- Arena -----------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(256);
-  auto* a = arena.AllocateArray<Posting>(10);
-  auto* b = arena.AllocateArray<uint64_t>(4);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(Posting), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % alignof(uint64_t), 0u);
-  for (size_t i = 0; i < 10; ++i) a[i] = Posting{1, 2, {3, 4, 5}};
-  for (size_t i = 0; i < 4; ++i) b[i] = i;
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(a[i], (Posting{1, 2, {3, 4, 5}}));
-  }
-  EXPECT_GE(arena.allocated_bytes(), 10 * sizeof(Posting) + 4 * sizeof(uint64_t));
-}
-
-TEST(ArenaTest, OversizedRequestGetsItsOwnChunk) {
-  Arena arena(64);
-  auto* big = arena.AllocateArray<Posting>(100);  // far beyond one chunk
-  ASSERT_NE(big, nullptr);
-  big[99] = Posting{9, 9, {9, 9, 9}};
-  EXPECT_EQ(big[99], (Posting{9, 9, {9, 9, 9}}));
-}
-
-TEST(ArenaTest, ResetRecyclesChunksInsteadOfGrowing) {
-  Arena arena(1 << 12);
-  for (int round = 0; round < 3; ++round) {
-    arena.Reset();
-    for (int i = 0; i < 8; ++i) (void)arena.AllocateArray<Posting>(16);
-  }
-  const size_t chunks_after_warmup = arena.chunk_count();
-  for (int round = 0; round < 10; ++round) {
-    arena.Reset();
-    for (int i = 0; i < 8; ++i) (void)arena.AllocateArray<Posting>(16);
-  }
-  // The hot loop is allocation-free once capacities have warmed up.
-  EXPECT_EQ(arena.chunk_count(), chunks_after_warmup);
-}
-
 // --- PostingListIterator ---------------------------------------------------
 
 TEST(PostingListIteratorTest, DrainMatchesListInEveryStorageForm) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (Storage storage :
-         {Storage::kOwned, Storage::kShared, Storage::kEncoded}) {
+    for (Storage storage : {Storage::kOwned, Storage::kShared}) {
       std::mt19937_64 rng(seed);
       const PostingList list = RandomSortedList(rng, 300);
-      Arena arena;
-      PostingListIterator it = MakeIterator(rng, list, storage, &arena);
+      PostingListIterator it = MakeIterator(rng, list, storage);
       EXPECT_EQ(it.EstimateResultsAmount(), list.size());
       EXPECT_EQ(Drain(it), list);
       EXPECT_FALSE(it.HasBuffered());
@@ -200,12 +124,10 @@ TEST(PostingListIteratorTest, DrainMatchesListInEveryStorageForm) {
 
 TEST(PostingListIteratorTest, SkipToMatchesLowerBoundOracle) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (Storage storage :
-         {Storage::kOwned, Storage::kShared, Storage::kEncoded}) {
+    for (Storage storage : {Storage::kOwned, Storage::kShared}) {
       std::mt19937_64 rng(seed);
       const PostingList list = RandomSortedList(rng, 400);
-      Arena arena;
-      PostingListIterator it = MakeIterator(rng, list, storage, &arena);
+      PostingListIterator it = MakeIterator(rng, list, storage);
       // Random non-decreasing targets; the oracle walks the flat list.
       size_t oracle = 0;  // index of the next unconsumed oracle posting
       std::uniform_int_distribution<size_t> jump_d(0, 12);
@@ -240,43 +162,86 @@ TEST(PostingListIteratorTest, SkipToMatchesLowerBoundOracle) {
 TEST(PostingListIteratorTest, SkipToPastEverythingReturnsFalse) {
   std::mt19937_64 rng(3);
   const PostingList list = RandomSortedList(rng, 100);
-  PostingListIterator it = MakeIterator(rng, list, Storage::kEncoded);
+  PostingListIterator it = MakeIterator(rng, list, Storage::kOwned);
   Posting got;
   EXPECT_FALSE(it.SkipTo(index::kMaxPosting, &got));
   EXPECT_FALSE(it.HasBuffered());
-  // Every block was dropped from its bounds alone.
-  EXPECT_EQ(it.blocks_decoded(), 0u);
-  EXPECT_GT(it.blocks_skipped_undecoded(), 0u);
+  EXPECT_EQ(it.EstimateResultsAmount(), 0u);
 }
 
-TEST(PostingListIteratorTest, OutOfRangeEncodedBlocksAreNeverDecoded) {
-  // Ten encoded blocks over docs [0, 1000), then one block at doc 5000.
-  // A SkipTo straight to doc 5000 must decode exactly one block: the
-  // [min_doc, max_doc] header interval of the other ten misses the target.
+/// Ten blocks over docs [0, 1000), then one block at doc 5000.
+PostingListIterator TenBlocksThenDoc5000(Storage storage) {
   PostingListIterator it;
   for (uint32_t b = 0; b < 10; ++b) {
     PostingList chunk;
     for (uint32_t d = 0; d < 100; ++d) {
       chunk.push_back(Posting{0, b * 100 + d, {1, 2, 1}});
     }
-    it.Push(MakeBlock(std::move(chunk), Storage::kEncoded));
+    it.Push(MakeBlock(std::move(chunk), storage));
   }
-  it.Push(MakeBlock({Posting{0, 5000, {1, 2, 1}}}, Storage::kEncoded));
+  it.Push(MakeBlock({Posting{0, 5000, {1, 2, 1}}}, storage));
   it.Close();
-
-  Posting got;
-  ASSERT_TRUE(it.SkipTo(Posting{0, 5000, {0, 0, 0}}, &got));
-  EXPECT_EQ(got, (Posting{0, 5000, {1, 2, 1}}));
-  EXPECT_EQ(it.blocks_skipped_undecoded(), 10u);
-  EXPECT_EQ(it.blocks_decoded(), 1u);
+  return it;
 }
 
-TEST(PostingListIteratorTest, EstimateIsAvailableBeforeAnyDecode) {
-  std::mt19937_64 rng(5);
-  const PostingList list = RandomSortedList(rng, 200);
-  PostingListIterator it = MakeIterator(rng, list, Storage::kEncoded);
-  EXPECT_EQ(it.EstimateResultsAmount(), list.size());
-  EXPECT_EQ(it.blocks_decoded(), 0u);  // the estimate came from headers
+TEST(PostingListIteratorTest, SkipToDropsBlocksBelowTheTargetWhole) {
+  // A SkipTo straight to doc 5000 drops the ten blocks whose last posting
+  // lies below the target and keeps the buffered count exact.
+  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
+    PostingListIterator it = TenBlocksThenDoc5000(storage);
+    // Consume part of the first block so a partial block is dropped too.
+    Posting got;
+    ASSERT_TRUE(it.Read(&got));
+    ASSERT_TRUE(it.Read(&got));
+    EXPECT_EQ(it.EstimateResultsAmount(), 999u);
+    ASSERT_TRUE(it.SkipTo(Posting{0, 5000, {0, 0, 0}}, &got));
+    EXPECT_EQ(got, (Posting{0, 5000, {1, 2, 1}}));
+    EXPECT_EQ(it.EstimateResultsAmount(), 0u);
+    EXPECT_TRUE(it.Exhausted());
+  }
+}
+
+TEST(PostingListIteratorTest, SkipBelowDocDropsWholeBlocksAndCountsThem) {
+  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
+    PostingListIterator it = TenBlocksThenDoc5000(storage);
+    // Five whole blocks plus half of the sixth fall below doc 550.
+    EXPECT_EQ(it.SkipBelowDoc(DocId{0, 550}), 550u);
+    EXPECT_EQ(it.HeadDoc(), (DocId{0, 550}));
+    EXPECT_EQ(it.EstimateResultsAmount(), 451u);
+    // Past every block but the last: nine more whole or partial blocks.
+    EXPECT_EQ(it.SkipBelowDoc(DocId{0, 4000}), 450u);
+    EXPECT_EQ(it.HeadDoc(), (DocId{0, 5000}));
+    // A target at or below the head drops nothing.
+    EXPECT_EQ(it.SkipBelowDoc(DocId{0, 5000}), 0u);
+    EXPECT_EQ(it.SkipAll(), 1u);
+    EXPECT_FALSE(it.HasBuffered());
+  }
+}
+
+TEST(PostingListIteratorTest, GallopingWorstCaseLandsExactly) {
+  // The galloping worst case: one giant leap from the head of a large
+  // stream to its very last posting, through twenty whole blocks and then
+  // a gallop across a 1000-posting block.
+  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
+    PostingListIterator it;
+    for (uint32_t b = 0; b < 20; ++b) {
+      PostingList chunk;
+      for (uint32_t d = 0; d < 50; ++d) {
+        chunk.push_back(Posting{0, b * 50 + d, {1, 2, 1}});
+      }
+      it.Push(MakeBlock(std::move(chunk), storage));
+    }
+    PostingList big;
+    for (uint32_t i = 0; i < 1000; ++i) {
+      big.push_back(Posting{0, 99999, {10 + i, 10 + i, 2}});
+    }
+    it.Push(MakeBlock(big, storage));
+    it.Close();
+    Posting got;
+    ASSERT_TRUE(it.SkipTo(big.back(), &got));
+    EXPECT_EQ(got, big.back());
+    EXPECT_TRUE(it.Exhausted());
+  }
 }
 
 TEST(PostingListIteratorTest, AdversarialShapes) {
@@ -288,7 +253,7 @@ TEST(PostingListIteratorTest, AdversarialShapes) {
   it.Push(PostingBlock::FromList(PostingList(32, dup)));
   it.Push(PostingBlock::FromList({Posting{1, 2, {1, 1, 1}}}));
   it.Push(PostingBlock::FromList({}));
-  it.Push(MakeBlock({Posting{2, 0, {1, 4, 1}}}, Storage::kEncoded));
+  it.Push(MakeBlock({Posting{2, 0, {1, 4, 1}}}, Storage::kShared));
   it.Close();
   PostingList expect(32, dup);
   expect.push_back(Posting{1, 2, {1, 1, 1}});
@@ -307,11 +272,6 @@ TEST(PostingListIteratorTest, AbortDropsEverything) {
   EXPECT_FALSE(it.Read(&p));
 }
 
-TEST(PostingListIteratorTest, ForEstimateCarriesCardinality) {
-  PostingListIterator it = PostingListIterator::ForEstimate(1234);
-  EXPECT_EQ(it.EstimateResultsAmount(), 1234u);
-}
-
 // --- UnionIterator ---------------------------------------------------------
 
 TEST(UnionIteratorTest, MatchesSortUniqueOracle) {
@@ -323,7 +283,7 @@ TEST(UnionIteratorTest, MatchesSortUniqueOracle) {
     for (int i = 0; i < 4; ++i) {
       lists.push_back(RandomSortedList(rng, n_d(rng)));
       const Storage storage =
-          static_cast<Storage>(i % 3);  // mix storage forms
+          static_cast<Storage>(i % 2);  // mix storage forms
       children.push_back(std::make_unique<PostingListIterator>(
           MakeIterator(rng, lists.back(), storage)));
     }
@@ -356,84 +316,6 @@ TEST(UnionIteratorTest, SkipToMatchesOracle) {
   EXPECT_FALSE(u.Read(&end));
 }
 
-// --- IntersectIterator -----------------------------------------------------
-
-TEST(IntersectIteratorTest, MatchesOracleOnSkewedLists) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937_64 rng(seed);
-    // Skew: one tiny selective child against larger ones, tight doc span
-    // so intersections actually happen.
-    std::vector<PostingList> lists;
-    lists.push_back(RandomSortedList(rng, 250, 120));
-    lists.push_back(RandomSortedList(rng, 20, 120));
-    lists.push_back(RandomSortedList(rng, 400, 120));
-    std::vector<std::unique_ptr<IndexIterator>> children;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      children.push_back(std::make_unique<PostingListIterator>(
-          MakeIterator(rng, lists[i], static_cast<Storage>(i % 3))));
-    }
-    IntersectIterator x(std::move(children));
-    EXPECT_EQ(Drain(x), IntersectOracle(lists));
-  }
-}
-
-TEST(IntersectIteratorTest, DisjointChildrenProduceNothing) {
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  for (uint32_t base : {0u, 1000u}) {
-    PostingList list;
-    for (uint32_t d = 0; d < 50; ++d) {
-      list.push_back(Posting{0, base + d, {1, 2, 1}});
-    }
-    auto it = std::make_unique<PostingListIterator>();
-    it->Push(PostingBlock::FromList(std::move(list)));
-    it->Close();
-    children.push_back(std::move(it));
-  }
-  IntersectIterator x(std::move(children));
-  Posting p;
-  EXPECT_FALSE(x.Read(&p));
-}
-
-TEST(IntersectIteratorTest, GallopingWorstCaseSkipsLargeChildUndecoded) {
-  // The galloping worst case: a single-posting child forces one giant
-  // leap through a large encoded child. Every out-of-range block of the
-  // large child must be dropped from its header bounds alone.
-  auto large = std::make_unique<PostingListIterator>();
-  for (uint32_t b = 0; b < 20; ++b) {
-    PostingList chunk;
-    for (uint32_t d = 0; d < 50; ++d) {
-      chunk.push_back(Posting{0, b * 50 + d, {1, 2, 1}});
-    }
-    large->Push(MakeBlock(std::move(chunk), Storage::kEncoded));
-  }
-  large->Push(MakeBlock({Posting{0, 99999, {1, 2, 1}}}, Storage::kEncoded));
-  large->Close();
-  PostingListIterator* large_raw = large.get();
-
-  auto tiny = std::make_unique<PostingListIterator>();
-  tiny->Push(PostingBlock::FromList({Posting{0, 99999, {3, 4, 2}}}));
-  tiny->Close();
-
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  children.push_back(std::move(tiny));
-  children.push_back(std::move(large));
-  IntersectIterator x(std::move(children));
-  const PostingList expect{Posting{0, 99999, {3, 4, 2}}};
-  EXPECT_EQ(Drain(x), expect);
-  EXPECT_EQ(large_raw->blocks_skipped_undecoded(), 20u);
-  EXPECT_EQ(large_raw->blocks_decoded(), 1u);
-}
-
-TEST(IntersectIteratorTest, EstimateIsMinOverChildren) {
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  for (uint64_t c : {500u, 7u, 90u}) {
-    children.push_back(std::make_unique<PostingListIterator>(
-        PostingListIterator::ForEstimate(c)));
-  }
-  IntersectIterator x(std::move(children));
-  EXPECT_EQ(x.EstimateResultsAmount(), 7u);
-}
-
 // --- MergeDistinct ---------------------------------------------------------
 
 TEST(MergeDistinctTest, MatchesSortUniqueOracle) {
@@ -447,7 +329,7 @@ TEST(MergeDistinctTest, MatchesSortUniqueOracle) {
 
     std::vector<PostingBlock> blocks;
     for (size_t i = 0; i < lists.size(); ++i) {
-      blocks.push_back(MakeBlock(lists[i], static_cast<Storage>(i % 3)));
+      blocks.push_back(MakeBlock(lists[i], static_cast<Storage>(i % 2)));
     }
     EXPECT_EQ(MergeDistinct(std::move(blocks)), oracle);
   }
@@ -497,8 +379,7 @@ struct TwigFixture {
 std::vector<Answer> RunJoin(const TreePattern& pattern,
                             const PostingList& ancestors,
                             const PostingList& descendants, Storage storage,
-                            std::mt19937_64& rng,
-                            uint64_t* skipped = nullptr) {
+                            std::mt19937_64& rng) {
   StructuralJoinIterator join(pattern);
   for (PostingList& chunk : RandomChunks(rng, ancestors)) {
     join.AddInput(0, MakeBlock(std::move(chunk), storage));
@@ -507,7 +388,6 @@ std::vector<Answer> RunJoin(const TreePattern& pattern,
     join.AddInput(1, MakeBlock(std::move(chunk), storage));
   }
   join.Run();
-  if (skipped != nullptr) *skipped = join.blocks_skipped_undecoded();
   return join.TakeAnswers();
 }
 
@@ -519,45 +399,60 @@ bool AnswersEqual(const std::vector<Answer>& a, const std::vector<Answer>& b) {
   return true;
 }
 
-TEST(StructuralJoinIteratorTest, EncodedInputsMatchDecodedByteForByte) {
+TEST(StructuralJoinIteratorTest, SharedInputsMatchOwnedByteForByte) {
   const TreePattern pattern = MustParse("//a//b");
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed);
     TwigFixture fx(rng, 120, 3);
     std::mt19937_64 rng_a(seed * 101);
     std::mt19937_64 rng_b(seed * 101 + 1);
-    std::mt19937_64 rng_c(seed * 101 + 2);
-    const auto decoded =
+    const auto owned =
         RunJoin(pattern, fx.ancestors, fx.descendants, Storage::kOwned, rng_a);
     const auto shared =
         RunJoin(pattern, fx.ancestors, fx.descendants, Storage::kShared, rng_b);
-    const auto encoded = RunJoin(pattern, fx.ancestors, fx.descendants,
-                                 Storage::kEncoded, rng_c);
-    EXPECT_GT(decoded.size(), 0u);
-    EXPECT_TRUE(AnswersEqual(decoded, shared));
-    EXPECT_TRUE(AnswersEqual(decoded, encoded));
+    EXPECT_GT(owned.size(), 0u);
+    EXPECT_TRUE(AnswersEqual(owned, shared));
   }
 }
 
-TEST(StructuralJoinIteratorTest, LeapfrogSkipsOutOfRangeBlocksUndecoded) {
-  // The selective stream has one document; the other stream's blocks
-  // below it must be dropped by the document leapfrog without a decode.
+TEST(StructuralJoinIteratorTest, LeapfrogSkipsOutOfRangeBlocks) {
+  // The selective stream has one document; the document leapfrog drops
+  // the other stream's blocks below it whole, and still counts their
+  // postings as consumed.
   const TreePattern pattern = MustParse("//a//b");
-  StructuralJoinIterator join(pattern);
-  join.AddInput(0, PostingBlock::FromList({Posting{0, 950, {1, 1000, 1}}}));
-  for (uint32_t b = 0; b < 9; ++b) {
-    PostingList chunk;
-    for (uint32_t d = 0; d < 100; ++d) {
-      chunk.push_back(Posting{0, b * 100 + d, {10, 10, 3}});
+  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
+    StructuralJoinIterator join(pattern);
+    join.AddInput(0, PostingBlock::FromList({Posting{0, 950, {1, 1000, 1}}}));
+    for (uint32_t b = 0; b < 9; ++b) {
+      PostingList chunk;
+      for (uint32_t d = 0; d < 100; ++d) {
+        chunk.push_back(Posting{0, b * 100 + d, {10, 10, 3}});
+      }
+      join.AddInput(1, MakeBlock(std::move(chunk), storage));
     }
-    join.AddInput(1, MakeBlock(std::move(chunk), Storage::kEncoded));
+    join.AddInput(1, MakeBlock({Posting{0, 950, {10, 10, 3}}}, storage));
+    join.Run();
+    ASSERT_EQ(join.answers().size(), 1u);
+    EXPECT_EQ(join.answers()[0].doc, (DocId{0, 950}));
+    EXPECT_EQ(join.postings_consumed(), 1u + 900u + 1u);
   }
-  join.AddInput(1, MakeBlock({Posting{0, 950, {10, 10, 3}}},
-                             Storage::kEncoded));
+}
+
+TEST(StructuralJoinIteratorTest, TakeMovesTheResultsOut) {
+  const TreePattern pattern = MustParse("//a//b");
+  std::mt19937_64 rng(4);
+  TwigFixture fx(rng, 40, 2);
+  StructuralJoinIterator join(pattern);
+  join.AddInput(0, PostingBlock::FromList(fx.ancestors));
+  join.AddInput(1, PostingBlock::FromList(fx.descendants));
   join.Run();
-  ASSERT_EQ(join.answers().size(), 1u);
-  EXPECT_EQ(join.answers()[0].doc, (DocId{0, 950}));
-  EXPECT_EQ(join.blocks_skipped_undecoded(), 9u);
+  const size_t answers = join.answers().size();
+  const size_t docs = join.matched_docs().size();
+  ASSERT_GT(answers, 0u);
+  EXPECT_EQ(join.TakeAnswers().size(), answers);
+  EXPECT_EQ(join.TakeMatchedDocs().size(), docs);
+  EXPECT_TRUE(join.answers().empty());
+  EXPECT_TRUE(join.matched_docs().empty());
 }
 
 TEST(StructuralJoinIteratorTest, EstimateIsMinInputCount) {

@@ -652,5 +652,90 @@ TEST(ReplicationDeterminismTest, SameSeedRunsAreByteIdentical) {
   EXPECT_GT(a.answers, 0u);
 }
 
+// Same-seed networks built one after another in one process, with no
+// process-wide reset in between, must replay the same virtual execution.
+// Whatever a network decides on — the holder loads behind replica routing,
+// the store version epochs — belongs to that network; the metric registry,
+// which keeps counting across networks, must not steer it.
+
+struct BackToBackOutcome {
+  uint64_t traffic_bytes = 0;
+  uint64_t replicated_keys = 0;
+  double end_time = 0;
+  std::vector<double> response_times;
+  std::vector<std::vector<query::Answer>> answers;
+};
+
+BackToBackOutcome RunBackToBackScenario(
+    const std::vector<xml::Document>& docs) {
+  std::vector<const xml::Document*> ptrs;
+  for (const auto& d : docs) ptrs.push_back(&d);
+  KadopOptions opt = ReplNetOptions(true);
+  opt.views.enabled = true;
+  KadopNet net(opt);
+  net.RegisterDocuments(docs);
+  net.PublishAndWait(2, ptrs);
+  EXPECT_TRUE(net.CreateViewAndWait("//article//author").ok());
+
+  // Bursts of concurrent queries from every peer: the gets race for the
+  // replicated keys, so each route decides which uplinks queue.
+  BackToBackOutcome out;
+  out.answers.resize(4 * 10 * std::size(kQueries));
+  out.response_times.resize(out.answers.size());
+  size_t slot = 0;
+  for (int burst = 0; burst < 4; ++burst) {
+    for (sim::NodeIndex at = 0; at < 10; ++at) {
+      for (const char* q : kQueries) {
+        query::QueryOptions qopt;
+        qopt.strategy = (at + burst) % 2 == 0 ? query::QueryStrategy::kDpp
+                                              : query::QueryStrategy::kAuto;
+        const size_t i = slot++;
+        EXPECT_TRUE(net.SubmitQuery(at, q, qopt,
+                                    [&out, i](query::QueryResult r) {
+                                      out.response_times[i] =
+                                          r.metrics.ResponseTime();
+                                      out.answers[i] = std::move(r.answers);
+                                    })
+                        .ok());
+      }
+    }
+    net.RunToIdle();
+  }
+  out.traffic_bytes = net.network().traffic().bytes;
+  out.replicated_keys = net.dht().replication().ReplicatedKeyCount();
+  out.end_time = net.scheduler().Now();
+  return out;
+}
+
+void ExpectSameReplay(const BackToBackOutcome& a, const BackToBackOutcome& b) {
+  EXPECT_EQ(a.traffic_bytes, b.traffic_bytes);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.replicated_keys, b.replicated_keys);
+  EXPECT_EQ(a.response_times, b.response_times);
+  EXPECT_TRUE(a.answers == b.answers);
+}
+
+TEST(ReplicationDeterminismTest, BackToBackNetworksInOneProcessReplay) {
+  const auto docs = BaseCorpus();
+  const BackToBackOutcome a = RunBackToBackScenario(docs);
+  const BackToBackOutcome b = RunBackToBackScenario(docs);
+  {
+    // A differently shaped network in between: five peers absorb the
+    // whole corpus, so the low node indices carry far more load than in
+    // the scenario's own network.
+    std::vector<const xml::Document*> ptrs;
+    for (const auto& d : docs) ptrs.push_back(&d);
+    KadopOptions opt;
+    opt.peers = 5;
+    KadopNet other(opt);
+    other.RegisterDocuments(docs);
+    other.PublishAndWait(0, ptrs);
+  }
+  const BackToBackOutcome c = RunBackToBackScenario(docs);
+  EXPECT_GT(a.replicated_keys, 0u);
+  ExpectSameReplay(a, b);
+  ExpectSameReplay(a, c);
+}
+
 }  // namespace
 }  // namespace kadop

@@ -9,14 +9,11 @@
 // across peers and fetched in parallel, so response time is cut by a
 // factor of ~3-4 and grows much more slowly.
 //
-// On top of the paper's figure this bench runs two A/Bs per volume:
-// the codec/cache A/B (posting compression on: same seed, same answers,
-// >= 2x fewer posting bytes on the wire; warm posting cache: the repeat
-// query issues zero Get messages) and the distributed-join A/B (kDppJoin
-// ships structural joins to the block holders, so the query peer's
-// posting ingress collapses to result tuples — same answers, byte for
-// byte), plus a materialized-view run (the query pattern pre-joined into
-// an extent, so serving fetches only the answer columns).
+// On top of the paper's figure this bench runs the distributed-join A/B
+// per volume (kDppJoin ships structural joins to the block holders, so the
+// query peer's posting ingress collapses to result tuples — same answers,
+// byte for byte), plus a materialized-view run (the query pattern
+// pre-joined into an extent, so serving fetches only the answer columns).
 
 #include <cstdio>
 
@@ -30,17 +27,13 @@ constexpr const char* kQuery = "//article//author//\"Ullman\"";
 struct Sample {
   double response = -1;
   double first_answer = 0;
-  uint64_t posting_wire = 0;   // kPosting wire bytes for the (first) query
   uint64_t ingress_wire = 0;   // query-peer posting ingress (metrics view)
   uint64_t join_tasks = 0;
-  uint64_t repeat_gets = 0;    // Get messages served during the cached repeat
-  uint64_t repeat_cache_hits = 0;
   std::vector<query::Answer> answers;
   std::vector<index::DocId> matched_docs;
 };
 
-Sample RunOne(size_t mb, query::QueryStrategy strategy, bool compress,
-              bool repeat_cached) {
+Sample RunOne(size_t mb, query::QueryStrategy strategy) {
   xml::corpus::DblpOptions copt;
   copt.target_bytes = mb << 20;
   auto docs = xml::corpus::GenerateDblp(copt);
@@ -63,12 +56,8 @@ Sample RunOne(size_t mb, query::QueryStrategy strategy, bool compress,
   query::QueryOptions qopt;
   qopt.strategy = strategy;
   qopt.dpp_join_available = strategy == query::QueryStrategy::kDppJoin;
-  qopt.compress = compress;
-  qopt.cache_postings = repeat_cached;
 
   Sample out;
-  const uint64_t wire_before =
-      net.network().traffic().CategoryBytes(sim::TrafficCategory::kPosting);
   auto result = net.QueryAndWait(1, kQuery, qopt);
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
@@ -77,22 +66,10 @@ Sample RunOne(size_t mb, query::QueryStrategy strategy, bool compress,
   }
   out.response = result.value().metrics.ResponseTime();
   out.first_answer = result.value().metrics.TimeToFirstAnswer();
-  out.ingress_wire = result.value().metrics.posting_wire_bytes;
+  out.ingress_wire = result.value().metrics.posting_bytes;
   out.join_tasks = result.value().metrics.join_tasks;
   out.answers = result.value().answers;
   out.matched_docs = result.value().matched_docs;
-  out.posting_wire =
-      net.network().traffic().CategoryBytes(sim::TrafficCategory::kPosting) -
-      wire_before;
-
-  if (repeat_cached) {
-    const uint64_t gets_before = net.dht().AggregateStats().gets_served;
-    auto repeat = net.QueryAndWait(1, kQuery, qopt);
-    if (repeat.ok()) {
-      out.repeat_gets = net.dht().AggregateStats().gets_served - gets_before;
-      out.repeat_cache_hits = repeat.value().metrics.cache_hits;
-    }
-  }
   return out;
 }
 
@@ -100,33 +77,20 @@ void Run() {
   bench::Banner("FIG 3", "query response time with/without DPP");
   bench::BenchReport report("fig3_query_dpp",
                             "query response time with/without DPP, plus "
-                            "posting codec and cache A/B");
+                            "distributed-join and view runs");
   std::printf("query: %s\n\n", kQuery);
-  std::printf("%-28s%14s%14s%16s%12s%14s%14s%14s\n",
-              "indexed data (scaled MB)", "no DPP (s)", "DPP (s)",
-              "DPP 1st ans (s)", "speedup", "wire raw KB", "wire enc KB",
+  std::printf("%-28s%14s%14s%16s%12s%14s\n", "indexed data (scaled MB)",
+              "no DPP (s)", "DPP (s)", "DPP 1st ans (s)", "speedup",
               "djoin (s)");
   std::vector<size_t> volumes_mb = {2, 4, 8, 16, 24};
   if (bench::QuickMode()) volumes_mb = {2};
   for (size_t mb : volumes_mb) {
-    // Paper trajectory (compression off), with a warm-cache repeat on the
-    // DPP run; then the same DPP run with the codec on, and once more
-    // with the join pushed to the block holders.
-    const Sample base = RunOne(mb, query::QueryStrategy::kBaseline,
-                               /*compress=*/false, /*repeat_cached=*/false);
-    const Sample dpp = RunOne(mb, query::QueryStrategy::kDpp,
-                              /*compress=*/false, /*repeat_cached=*/true);
-    const Sample dppc = RunOne(mb, query::QueryStrategy::kDpp,
-                               /*compress=*/true, /*repeat_cached=*/false);
-    const Sample djoin = RunOne(mb, query::QueryStrategy::kDppJoin,
-                                /*compress=*/false, /*repeat_cached=*/false);
-    const Sample view = RunOne(mb, query::QueryStrategy::kView,
-                               /*compress=*/false, /*repeat_cached=*/false);
-    const double wire_reduction =
-        dppc.posting_wire > 0
-            ? static_cast<double>(dpp.posting_wire) /
-                  static_cast<double>(dppc.posting_wire)
-            : 0.0;
+    // Paper trajectory, then the DPP run with the join pushed to the
+    // block holders, then a view serve.
+    const Sample base = RunOne(mb, query::QueryStrategy::kBaseline);
+    const Sample dpp = RunOne(mb, query::QueryStrategy::kDpp);
+    const Sample djoin = RunOne(mb, query::QueryStrategy::kDppJoin);
+    const Sample view = RunOne(mb, query::QueryStrategy::kView);
     // Query-peer posting ingress: kDppJoin receives result tuples instead
     // of posting blocks, so its ingress is normally zero — clamp the
     // denominator so the emitted ratio stays finite.
@@ -135,12 +99,9 @@ void Run() {
         static_cast<double>(std::max<uint64_t>(1, djoin.ingress_wire));
     const bool join_answers_match = dpp.answers == djoin.answers &&
                                     dpp.matched_docs == djoin.matched_docs;
-    std::printf("%-28zu%14.4f%14.4f%16.4f%11.2fx%14.1f%14.1f%14.4f\n", mb,
+    std::printf("%-28zu%14.4f%14.4f%16.4f%11.2fx%14.4f\n", mb,
                 base.response, dpp.response, dpp.first_answer,
-                base.response / dpp.response,
-                static_cast<double>(dpp.posting_wire) / 1024.0,
-                static_cast<double>(dppc.posting_wire) / 1024.0,
-                djoin.response);
+                base.response / dpp.response, djoin.response);
     std::fflush(stdout);
     report.AddRow()
         .Num("indexed_mb", static_cast<double>(mb))
@@ -148,15 +109,11 @@ void Run() {
         .Num("dpp_response_s", dpp.response)
         .Num("dpp_first_answer_s", dpp.first_answer)
         .Num("speedup", base.response / dpp.response)
-        .Num("posting_wire_raw_kb",
-             static_cast<double>(dpp.posting_wire) / 1024.0)
-        .Num("posting_wire_encoded_kb",
-             static_cast<double>(dppc.posting_wire) / 1024.0)
-        .Num("wire_reduction", wire_reduction)
-        .Num("answers_match", dpp.answers == dppc.answers ? 1.0 : 0.0)
-        .Num("repeat_cache_gets", static_cast<double>(dpp.repeat_gets))
-        .Num("repeat_cache_hits",
-             static_cast<double>(dpp.repeat_cache_hits))
+        .Num("answers_match",
+             base.answers == dpp.answers &&
+                     base.matched_docs == dpp.matched_docs
+                 ? 1.0
+                 : 0.0)
         .Num("dpp_join_response_s", djoin.response)
         .Num("dpp_join_first_answer_s", djoin.first_answer)
         .Num("dpp_ingress_wire_kb",
@@ -181,8 +138,6 @@ void Run() {
       "\nPaper shape: DPP cuts response time by ~3x and its growth with\n"
       "data volume is much slower (transfer parallelized across block\n"
       "holders instead of a single owner uplink).\n"
-      "Codec A/B: compress=on moves the same answers in >= 2x fewer\n"
-      "posting bytes; the warm-cache repeat query issues zero Gets.\n"
       "Join A/B: dpp_join pushes the structural join to the block\n"
       "holders — byte-identical answers with (near-)zero posting ingress\n"
       "at the query peer.\n");

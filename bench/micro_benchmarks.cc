@@ -372,7 +372,7 @@ void BM_TwigStackKernel(benchmark::State& state) {
 BENCHMARK(BM_TwigStackKernel);
 
 /// fig2's document mix as per-term sorted posting lists — the data the
-/// codec sees on the wire and in B+-tree leaves.
+/// network ships and the B+-tree leaves hold.
 std::vector<index::PostingList> DblpTermLists(size_t target_bytes) {
   xml::corpus::DblpOptions opt;
   opt.target_bytes = target_bytes;

@@ -427,9 +427,9 @@ void Run() {
     KADOP_CHECK(djoin.ok() && viewed.ok(), "probe queries must run");
     const query::QueryMetrics& jm = djoin.value().metrics;
     const query::QueryMetrics& vm = viewed.value().metrics;
-    const double djoin_wire = static_cast<double>(jm.posting_wire_bytes +
+    const double djoin_wire = static_cast<double>(jm.posting_bytes +
                                                   jm.join_input_wire_bytes);
-    const double view_wire = static_cast<double>(vm.posting_wire_bytes +
+    const double view_wire = static_cast<double>(vm.posting_bytes +
                                                  vm.join_input_wire_bytes);
     const bool match =
         djoin.value().answers == viewed.value().answers &&

@@ -730,29 +730,21 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
            pattern.node(node).TermKey() + ": " +
            std::to_string(counts[node]) + " postings\n";
   }
-  query::QueryOptions explain_options = options;
+  std::optional<query::ViewCandidate> view;
   if (view_catalog_->enabled()) {
     if (std::optional<query::ViewCatalog::Rewrite> rw =
             view_catalog_->FindRewrite(pattern, origin)) {
-      explain_options.view_available = true;
-      explain_options.view_extent_postings = rw->extent_postings;
-      uint64_t residual = 0;
-      for (size_t q = 0; q < pattern.size(); ++q) {
-        if (!rw->match.Covers(static_cast<int>(q))) residual += counts[q];
-      }
-      explain_options.view_residual_postings = residual;
+      view = query::PriceViewRewrite(*rw, counts);
       out += "view rewrite: " + rw->name +
              (rw->match.exact ? " (exact" : " (containment") +
-             ", extent=" + std::to_string(rw->extent_postings) +
-             " postings, residual=" + std::to_string(residual) +
-             " postings)\n";
+             ", extent=" + std::to_string(view->extent_postings) +
+             " postings, residual=" +
+             std::to_string(view->residual_postings) + " postings)\n";
     }
   }
   const auto costs =
-      query::EstimateStrategyCosts(pattern, counts, explain_options);
+      query::EstimateStrategyCosts(pattern, counts, options, view);
   out += "strategy cost estimates:\n";
-  const query::StrategyCostEstimate* best = costs.empty() ? nullptr
-                                                          : &costs[0];
   for (const auto& c : costs) {
     char line[160];
     std::snprintf(line, sizeof(line),
@@ -760,17 +752,11 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
                   std::string(query::QueryStrategyName(c.strategy)).c_str(),
                   c.bytes, c.bottleneck_bytes);
     out += line;
-    const bool better =
-        options.objective == query::QueryOptions::Objective::kTraffic
-            ? c.bytes < best->bytes
-            : c.bottleneck_bytes < best->bottleneck_bytes;
-    if (better) best = &c;
   }
-  if (best != nullptr) {
-    out += "auto would run: ";
-    out += query::QueryStrategyName(best->strategy);
-    out += "\n";
-  }
+  out += "auto would run: ";
+  out += query::QueryStrategyName(
+      query::PickStrategy(costs, options.objective));
+  out += "\n";
   return out;
 }
 

@@ -60,21 +60,13 @@ struct HandoffMessage final : sim::Payload {
   std::optional<std::string> blob;
   std::optional<index::DppManager::TermExport> dpp_root;
 
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = index::codec::CompressionEnabled();
-
   size_t SizeBytes() const override {
-    size_t total = key.size() + 16 +
-                   index::codec::MemoizedWireBytes(postings, compressed,
-                                                   &wire_bytes_memo_);
+    size_t total = key.size() + 16 + index::codec::RawBytes(postings);
     if (blob) total += blob->size();
     if (dpp_root) total += dpp_root->WireBytes();
     return total;
   }
   std::string_view TypeName() const override { return "HandoffMessage"; }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// Hot-data replication: a versioned copy of one key's postings — plus its
@@ -89,22 +81,14 @@ struct ReplicaInstallMessage final : sim::Payload {
   uint64_t version = 0;
   bool flat = true;
 
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = index::codec::CompressionEnabled();
-
   size_t SizeBytes() const override {
-    size_t total = key.size() + 25 +
-                   index::codec::MemoizedWireBytes(postings, compressed,
-                                                   &wire_bytes_memo_);
+    size_t total = key.size() + 25 + index::codec::RawBytes(postings);
     if (dpp_root) total += dpp_root->WireBytes();
     return total;
   }
   std::string_view TypeName() const override {
     return "ReplicaInstallMessage";
   }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// Demotion: the target discards its replica of `key`.

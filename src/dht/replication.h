@@ -98,9 +98,9 @@ class KeyLoadTracker {
 /// demotes when the load subsides.
 ///
 /// Consistency: a replica serves a get only while its stamped version
-/// matches the owner store's current posting version for the key (the same
-/// staleness-oracle guard as the query-side posting cache); otherwise the
-/// request is forwarded to the owner, and the next window re-copies the key.
+/// matches the owner store's current posting version for the key (the
+/// staleness-oracle guard views use too); otherwise the request is
+/// forwarded to the owner, and the next window re-copies the key.
 /// Only "flat" keys — plain store reads at the owner (overflow blocks,
 /// unpartitioned terms) — are served by replicas directly; partitioned term
 /// roots are replicated as staged directory state for crash takeover only.

@@ -1,5 +1,7 @@
 #include "index/codec.h"
 
+#include <limits>
+
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/profile_clock.h"
@@ -14,8 +16,6 @@ namespace {
 /// In deterministic runs ProfileNowNs() is 0, the deltas are 0, and
 /// same-seed metric snapshots stay byte-identical.
 struct CodecCounters {
-  obs::Counter* raw_bytes;
-  obs::Counter* encoded_bytes;
   obs::Counter* encodes;
   obs::Counter* decodes;
   obs::Counter* encode_ns;
@@ -26,15 +26,12 @@ CodecCounters& C() {
   static CodecCounters c = [] {
     auto& r = obs::MetricRegistry::Default();
     return CodecCounters{
-        r.GetCounter("codec.raw_bytes"),    r.GetCounter("codec.encoded_bytes"),
-        r.GetCounter("codec.encodes"),      r.GetCounter("codec.decodes"),
-        r.GetCounter("codec.encode_ns"),    r.GetCounter("codec.decode_ns"),
+        r.GetCounter("codec.encodes"),   r.GetCounter("codec.decodes"),
+        r.GetCounter("codec.encode_ns"), r.GetCounter("codec.decode_ns"),
     };
   }();
   return c;
 }
-
-bool g_compression_enabled = false;
 
 void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
   while (v >= 0x80) {
@@ -94,10 +91,6 @@ void WalkEncoded(const PostingList& list, Emit&& emit) {
 }
 
 }  // namespace
-
-void SetCompressionEnabled(bool on) { g_compression_enabled = on; }
-
-bool CompressionEnabled() { return g_compression_enabled; }
 
 size_t VarintLen(uint64_t v) {
   size_t len = 1;
@@ -195,54 +188,6 @@ size_t EncodedBytes(const PostingList& list) {
   size_t total = 0;
   WalkEncoded(list, [&total](uint64_t v) { total += VarintLen(v); });
   return total;
-}
-
-size_t EncodedSingleBytes(const Posting& posting) {
-  KADOP_CHECK(posting.sid.end >= posting.sid.start,
-              "codec: sid interval end < start");
-  return VarintLen(1)                                    // count
-         + VarintLen(posting.peer) + VarintLen(posting.doc) + VarintLen(1)
-         + VarintLen(posting.sid.start)
-         + VarintLen(posting.sid.end - posting.sid.start)
-         + VarintLen(posting.sid.level);
-}
-
-size_t WireBytes(const PostingList& list, bool compressed) {
-  if (!compressed) return RawBytes(list);
-  const size_t encoded = EncodedBytes(list);
-  RecordEncode(RawBytes(list), encoded);
-  return encoded;
-}
-
-size_t MemoizedWireBytes(const PostingList& list, bool compressed,
-                         WireSizeMemo* memo) {
-  if (memo->count != list.size()) {
-    memo->bytes = WireBytes(list, compressed);
-    memo->count = list.size();
-  }
-  return memo->bytes;
-}
-
-size_t StoredBytes(const PostingList& list) {
-  return g_compression_enabled ? EncodedBytes(list) : RawBytes(list);
-}
-
-size_t StoredPostingBytes(const Posting& posting) {
-  return g_compression_enabled ? EncodedSingleBytes(posting)
-                               : RawBytes(static_cast<size_t>(1));
-}
-
-double EstimatedWirePostingBytes(bool compressed) {
-  // ~6 bytes/posting is the measured DBLP-mix ratio (BENCH_codec.json);
-  // the planner only needs relative strategy costs, not exact sizes.
-  constexpr double kEstimatedEncodedPostingBytes = 6.0;
-  return compressed ? kEstimatedEncodedPostingBytes
-                    : static_cast<double>(Posting::kWireBytes);
-}
-
-void RecordEncode(size_t raw_bytes, size_t encoded_bytes) {
-  C().raw_bytes->Increment(raw_bytes);
-  C().encoded_bytes->Increment(encoded_bytes);
 }
 
 }  // namespace kadop::index::codec

@@ -18,18 +18,11 @@ namespace kadop::index {
 struct DppAppendToBlock final : sim::Payload {
   std::string block_key;
   PostingList postings;
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = codec::CompressionEnabled();
 
   size_t SizeBytes() const override {
-    return block_key.size() +
-           codec::MemoizedWireBytes(postings, compressed, &wire_bytes_memo_) +
-           8;
+    return block_key.size() + codec::RawBytes(postings) + 8;
   }
   std::string_view TypeName() const override { return "DppAppendToBlock"; }
-
- private:
-  mutable codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// Ack for DppAppendToBlock, carrying the block's new size.
@@ -45,18 +38,11 @@ struct DppAppendDone final : sim::Payload {
 struct DppStoreBlock final : sim::Payload {
   std::string block_key;
   PostingList postings;
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = codec::CompressionEnabled();
 
   size_t SizeBytes() const override {
-    return block_key.size() +
-           codec::MemoizedWireBytes(postings, compressed, &wire_bytes_memo_) +
-           8;
+    return block_key.size() + codec::RawBytes(postings) + 8;
   }
   std::string_view TypeName() const override { return "DppStoreBlock"; }
-
- private:
-  mutable codec::WireSizeMemo wire_bytes_memo_;
 };
 
 struct DppStoreBlockDone final : sim::Payload {
@@ -182,10 +168,9 @@ struct BlockJoinRequest final : sim::Payload {
   Condition window;
   size_t home_node = 0;
   size_t home_block = 0;
-  /// Fetch policy and codec choice for the holder's pulls, inherited from
-  /// the originating query.
+  /// Fetch policy for the holder's pulls, inherited from the originating
+  /// query.
   dht::RetryPolicy fetch_retry;
-  bool compress = false;
 
   size_t SizeBytes() const override {
     // Header + retry policy + the window's two raw posting bounds.

@@ -84,14 +84,13 @@ bool TrimmedPull::Suspect(bool complete, size_t got) const {
 
 TrimmedPull TrimToWindow(const index::DppBlockInfo& block,
                          const index::Condition& window,
-                         const dht::RetryPolicy& retry, bool compress) {
+                         const dht::RetryPolicy& retry) {
   TrimmedPull pull;
   pull.spec.key = block.key;
   pull.spec.pipelined = false;
   pull.spec.lo = block.cond.lo < window.lo ? window.lo : block.cond.lo;
   pull.spec.hi = window.hi < block.cond.hi ? window.hi : block.cond.hi;
   pull.spec.retry = retry;
-  pull.spec.compress = compress;
   pull.lower_trimmed = block.cond.lo < pull.spec.lo;
   pull.upper_trimmed = pull.spec.hi < block.cond.hi;
   pull.expected = block.count;
@@ -120,7 +119,6 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
   state->gathered.resize(req.nodes.size());
   const uint64_t query_id = req.query_id;
   const uint32_t task = req.task;
-  const bool compress = req.compress;
   dht::DhtPeer* peer = peer_;
 
   // Holder-side span: parents to the dispatching query via the request's
@@ -171,14 +169,14 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
   for (size_t node = 0; node < req.inputs.size(); ++node) {
     for (const index::DppBlockInfo& block : req.inputs[node]) {
       const TrimmedPull pull =
-          TrimToWindow(block, req.window, req.fetch_retry, compress);
+          TrimToWindow(block, req.window, req.fetch_retry);
       // The home block (and any other block this peer happens to hold) is
       // served locally: the get round-trips through the local store with
       // zero network traffic, so only foreign pulls charge wire bytes.
       const bool local = peer_->IsResponsible(dht::HashKey(block.key));
       auto staged = std::make_shared<PostingList>();
       peer_->GetBlocks(
-          pull.spec, [state, node, local, compress, pull, staged, finish](
+          pull.spec, [state, node, local, pull, staged, finish](
                          PostingList postings, bool last, bool complete) {
             staged->insert(staged->end(), postings.begin(), postings.end());
             if (!last) return;
@@ -193,8 +191,7 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
             state->blocks_fetched++;
             C().ingress_postings->Increment(got.size());
             if (!local) {
-              const size_t wire = compress ? index::codec::EncodedBytes(got)
-                                           : index::codec::RawBytes(got);
+              const size_t wire = index::codec::RawBytes(got);
               state->pulled_wire_bytes += wire;
               C().ingress_wire_bytes->Increment(wire);
             }

@@ -27,15 +27,14 @@ struct TrimmedPull {
 /// The pull of `block` clamped to `window` (not pipelined).
 [[nodiscard]] TrimmedPull TrimToWindow(const index::DppBlockInfo& block,
                                        const index::Condition& window,
-                                       const dht::RetryPolicy& retry,
-                                       bool compress);
+                                       const dht::RetryPolicy& retry);
 
 /// Holder-side executor of distributed block-join tasks (Section 4.3,
 /// docs/distributed_join.md). A query peer running `kDppJoin` routes a
 /// `BlockJoinRequest` to the pseudo-key of a task's largest input block;
 /// this service — one per peer — pulls the remaining input blocks
-/// (trimmed to the task window, reusing GetBlocks, the retry policy and
-/// the codec), runs the streaming twig join locally, and replies with a
+/// (trimmed to the task window, reusing GetBlocks and the retry policy),
+/// runs the streaming twig join locally, and replies with a
 /// `JoinResultMessage` carrying only the per-document answer tuples. The
 /// home block is served by the local store, so the heaviest posting list
 /// never crosses the wire.

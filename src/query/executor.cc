@@ -22,7 +22,6 @@ struct QueryCounters {
   obs::Counter* degraded;
   obs::Counter* postings_received;
   obs::Counter* posting_bytes;
-  obs::Counter* posting_wire_bytes;
   obs::Counter* ab_filter_bytes;
   obs::Counter* db_filter_bytes;
   obs::Counter* dpp_blocks_fetched;
@@ -43,7 +42,6 @@ struct QueryCounters {
     degraded = r.GetCounter("query.degraded");
     postings_received = r.GetCounter("query.postings_received");
     posting_bytes = r.GetCounter("query.posting_bytes");
-    posting_wire_bytes = r.GetCounter("query.posting_wire_bytes");
     ab_filter_bytes = r.GetCounter("query.ab_filter_bytes");
     db_filter_bytes = r.GetCounter("query.db_filter_bytes");
     dpp_blocks_fetched = r.GetCounter("query.dpp.blocks_fetched");
@@ -102,8 +100,7 @@ std::string_view QueryStrategyName(QueryStrategy s) {
 }
 
 double QueryMetrics::NormalizedDataVolume() const {
-  // The paper's metric is defined over raw posting records; wire
-  // compression shows up in posting_wire_bytes, not here.
+  // The paper's metric is defined over raw posting records.
   const double baseline = static_cast<double>(
       index::codec::RawBytes(static_cast<size_t>(full_postings)));
   if (baseline <= 0) return 0.0;
@@ -161,7 +158,6 @@ QueryExecutor::QueryExecutor(QueryClient* client, uint64_t query_id,
       query_id_(query_id),
       pattern_(std::move(pattern)),
       options_(options),
-      compress_(options.compress.value_or(index::codec::CompressionEnabled())),
       callback_(std::move(callback)),
       join_(pattern_) {
   stream_closed_.assign(pattern_.size(), false);
@@ -221,20 +217,13 @@ void QueryExecutor::Dispatch(QueryStrategy strategy) {
   }
 }
 
-size_t QueryExecutor::CountIngress(const PostingList& postings,
-                                   bool compressed) {
-  // The pure size functions (never `codec::WireBytes`): the ratio counters
-  // were already bumped when the carrying payload was first sized.
-  const size_t raw = index::codec::RawBytes(postings);
-  const size_t wire =
-      compressed ? index::codec::EncodedBytes(postings) : raw;
+size_t QueryExecutor::CountIngress(const PostingList& postings) {
+  const size_t bytes = index::codec::RawBytes(postings);
   metrics_.postings_received += postings.size();
-  metrics_.posting_bytes += raw;
-  metrics_.posting_wire_bytes += wire;
+  metrics_.posting_bytes += bytes;
   C().postings_received->Increment(postings.size());
-  C().posting_bytes->Increment(raw);
-  C().posting_wire_bytes->Increment(wire);
-  return wire;
+  C().posting_bytes->Increment(bytes);
+  return bytes;
 }
 
 void QueryExecutor::FailInvalid(const std::string& why) {
@@ -263,45 +252,12 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
   spec.pipelined = options_.pipelined;
   spec.block_postings = options_.block_postings;
   spec.retry = options_.fetch_retry;
-  spec.compress = compress_;
-  if (options_.cache_postings) {
-    if (auto cached = client_->posting_cache().Lookup(
-            spec.key, spec.lo, spec.hi,
-            peer_->AuthoritativeVersion(spec.key))) {
-      metrics_.cache_hits++;
-      // Deliver asynchronously so join/stream bookkeeping sees the same
-      // ordering as a real fetch. A hit ships nothing: full_postings still
-      // grows (it is the metric's denominator) but no posting/wire bytes
-      // and no blocks_fetched.
-      peer_->network()->scheduler()->After(0.0, [self, node, cached]() {
-        if (self->finished_) return;
-        self->metrics_.postings_received += cached->size();
-        self->metrics_.full_postings += cached->size();
-        C().postings_received->Increment(cached->size());
-        // Zero-copy: the join's iterator reads the cached list in place.
-        if (!cached->empty()) self->join_.AppendShared(node, cached);
-        self->stream_closed_[node] = true;
-        self->join_.Close(node);
-        self->AdvanceJoin();
-        self->MaybeFinishStreams();
-      });
-      return;
-    }
-    metrics_.cache_misses++;
-  }
-  const uint64_t pre_version =
-      options_.cache_postings ? peer_->AuthoritativeVersion(spec.key) : 0;
-  auto accum = options_.cache_postings ? std::make_shared<PostingList>()
-                                       : std::shared_ptr<PostingList>();
-  peer_->GetBlocks(spec, [self, node, count_blocks, spec, pre_version, accum](
+  peer_->GetBlocks(spec, [self, node, count_blocks](
                              PostingList block, bool last, bool complete) {
     if (self->finished_) return;
-    self->CountIngress(block, self->compress_);
+    self->CountIngress(block);
     self->metrics_.full_postings += block.size();
     if (count_blocks) self->metrics_.blocks_fetched++;
-    // The cache accumulator (when present) takes a copy; the join always
-    // takes the block itself — the single-consumer fast path moves it.
-    if (accum) accum->insert(accum->end(), block.begin(), block.end());
     if (!block.empty()) self->join_.Append(node, std::move(block));
     if (last) {
       if (!complete) {
@@ -309,10 +265,6 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
         if (self->options_.fetch_retry.enabled()) {
           self->metrics_.degraded = true;
         }
-      } else if (accum) {
-        self->MaybeCacheInsert(
-            spec, pre_version,
-            std::shared_ptr<const PostingList>(std::move(accum)));
       }
       self->stream_closed_[node] = true;
       self->join_.Close(node);
@@ -320,23 +272,6 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
     self->AdvanceJoin();
     self->MaybeFinishStreams();
   });
-}
-
-void QueryExecutor::MaybeCacheInsert(const GetSpec& spec, uint64_t pre_version,
-                                     PostingList postings) {
-  MaybeCacheInsert(spec, pre_version,
-                   std::make_shared<const PostingList>(std::move(postings)));
-}
-
-void QueryExecutor::MaybeCacheInsert(
-    const GetSpec& spec, uint64_t pre_version,
-    std::shared_ptr<const PostingList> postings) {
-  // Only a still-authoritative result may be cached: if the key's version
-  // moved while the stream was in flight, the stream may predate the
-  // mutation and a later Lookup at the new version must miss.
-  if (peer_->AuthoritativeVersion(spec.key) != pre_version) return;
-  client_->posting_cache().Insert(spec.key, spec.lo, spec.hi, pre_version,
-                                  std::move(postings));
 }
 
 void QueryExecutor::StartBaseline() {
@@ -592,7 +527,6 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
   req->home_node = jt.home_node;
   req->home_block = jt.home_block;
   req->fetch_retry = options_.fetch_retry;
-  req->compress = compress_;
   const std::string home_key = jt.inputs[jt.home_node][jt.home_block].key;
   peer_->RouteApp(
       home_key, std::move(req), TrafficCategory::kQuery,
@@ -683,8 +617,7 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
   for (size_t node = 0; node < jt.inputs.size(); ++node) {
     for (const index::DppBlockInfo& block : jt.inputs[node]) {
       FallbackPull(gather, node,
-                   TrimToWindow(block, jt.window, options_.fetch_retry,
-                                compress_),
+                   TrimToWindow(block, jt.window, options_.fetch_retry),
                    /*attempt=*/1, on_all);
     }
   }
@@ -723,7 +656,7 @@ void QueryExecutor::FallbackPull(std::shared_ptr<JoinGather> gather,
         }
         // These postings really crossed to the query peer: full ingress
         // accounting, exactly like a kDpp block fetch.
-        self->CountIngress(got, self->compress_);
+        self->CountIngress(got);
         self->metrics_.blocks_fetched++;
         C().dpp_blocks_fetched->Increment();
         gather->lists[node].push_back(std::move(got));
@@ -771,43 +704,14 @@ void QueryExecutor::PumpDppFetches(size_t node) {
          st.next_to_issue < st.blocks.size()) {
     const size_t idx = st.next_to_issue++;
     st.outstanding++;
-    const TrimmedPull pull = TrimToWindow(st.blocks[idx], dpp_window_,
-                                          options_.fetch_retry, compress_);
-    const GetSpec& spec = pull.spec;
-    if (options_.cache_postings) {
-      if (auto cached = client_->posting_cache().Lookup(
-              spec.key, spec.lo, spec.hi,
-              peer_->AuthoritativeVersion(spec.key))) {
-        metrics_.cache_hits++;
-        // Deliver asynchronously with the same pump bookkeeping as a real
-        // block fetch (outstanding already counts this slot). Nothing
-        // shipped: no posting/wire bytes, no blocks_fetched;
-        // full_postings was counted from the directory.
-        peer_->network()->scheduler()->After(0.0, [self, node, idx, cached]() {
-          if (self->finished_) return;
-          DppNodeState& state = self->dpp_[node];
-          self->metrics_.postings_received += cached->size();
-          C().postings_received->Increment(cached->size());
-          state.ready[idx] = cached;  // shared view, no copy
-          state.outstanding--;
-          self->DeliverReadyDppBlocks(node);
-          self->PumpDppFetches(node);
-          self->AdvanceJoin();
-          self->MaybeFinishStreams();
-        });
-        continue;
-      }
-      metrics_.cache_misses++;
-    }
-    const uint64_t pre_version =
-        options_.cache_postings ? peer_->AuthoritativeVersion(spec.key) : 0;
+    const TrimmedPull pull =
+        TrimToWindow(st.blocks[idx], dpp_window_, options_.fetch_retry);
     const bool trimmed = pull.lower_trimmed || pull.upper_trimmed;
     const uint64_t expected = pull.expected;
-    peer_->GetBlocks(spec, [self, node, idx, trimmed, expected, spec,
-                            pre_version](PostingList postings, bool last,
-                                         bool complete) {
+    peer_->GetBlocks(pull.spec, [self, node, idx, trimmed, expected](
+                                    PostingList postings, bool last,
+                                    bool complete) {
       if (self->finished_ || !last) return;
-      bool sound = complete;
       if (!complete) {
         self->metrics_.complete = false;
         if (self->options_.fetch_retry.enabled()) {
@@ -822,19 +726,12 @@ void QueryExecutor::PumpDppFetches(size_t node) {
         // arrived but say so.
         self->metrics_.complete = false;
         self->metrics_.degraded = true;
-        sound = false;
       }
       DppNodeState& state = self->dpp_[node];
-      self->CountIngress(postings, self->compress_);
+      self->CountIngress(postings);
       self->metrics_.blocks_fetched++;
       C().dpp_blocks_fetched->Increment();
-      auto shared =
-          std::make_shared<const PostingList>(std::move(postings));
-      if (sound && self->options_.cache_postings) {
-        // The cache aliases the same storage the join will read.
-        self->MaybeCacheInsert(spec, pre_version, shared);
-      }
-      state.ready[idx] = std::move(shared);
+      state.ready[idx] = std::move(postings);
       state.outstanding--;
       self->DeliverReadyDppBlocks(node);
       self->PumpDppFetches(node);
@@ -856,8 +753,8 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
     std::vector<PostingBlock> blocks;
     blocks.reserve(st.ready.size());
     for (auto& [idx, postings] : st.ready) {
-      if (!postings->empty()) {
-        blocks.push_back(PostingBlock::FromShared(postings));
+      if (!postings.empty()) {
+        blocks.push_back(PostingBlock::FromList(std::move(postings)));
       }
     }
     st.ready.clear();
@@ -870,7 +767,7 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
   while (true) {
     auto it = st.ready.find(st.next_to_deliver);
     if (it == st.ready.end()) break;
-    if (!it->second->empty()) join_.AppendShared(node, std::move(it->second));
+    if (!it->second.empty()) join_.Append(node, std::move(it->second));
     st.ready.erase(it);
     st.next_to_deliver++;
   }
@@ -924,7 +821,7 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   const size_t node = static_cast<size_t>(list->node);
   KADOP_CHECK(node < pattern_.size(), "bad node in reduced list");
   KADOP_CHECK(!stream_closed_[node], "duplicate reduced list");
-  CountIngress(list->postings, list->compressed);
+  CountIngress(list->postings);
   metrics_.full_postings += list->full_count;
   metrics_.ab_filter_bytes += list->ab_filter_bytes;
   metrics_.db_filter_bytes += list->db_filter_bytes;
@@ -981,14 +878,22 @@ void QueryExecutor::StartSubQuery() {
   FetchTermCounts([this]() { OnTermCountsReady(); });
 }
 
+ViewCandidate PriceViewRewrite(const ViewCatalog::Rewrite& rewrite,
+                               const std::vector<uint64_t>& term_counts) {
+  ViewCandidate view;
+  view.extent_postings = rewrite.extent_postings;
+  for (size_t q = 0; q < term_counts.size(); ++q) {
+    if (!rewrite.match.Covers(static_cast<int>(q))) {
+      view.residual_postings += term_counts[q];
+    }
+  }
+  return view;
+}
+
 std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
-    const QueryOptions& options) {
-  // Per-posting transfer estimate honors the query's compression choice:
-  // delta-coded transfers move fewer bytes, which shifts the byte-cost
-  // ranking (but not the bottleneck structure) between strategies.
-  const double kWire = index::codec::EstimatedWirePostingBytes(
-      options.compress.value_or(index::codec::CompressionEnabled()));
+    const QueryOptions& options, const std::optional<ViewCandidate>& view) {
+  const double kWire = static_cast<double>(index::codec::RawBytes(1));
   // Approximate per-posting DBF cost: |containers| inserts at ~10 bits.
   constexpr double kDbfBytesPerPosting = 15.0;
 
@@ -1086,27 +991,44 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     }
     costs.push_back(sub);
   }
-  if (options.view_available) {
+  if (view.has_value()) {
     // Serving from a materialized view ships the extent columns plus the
     // residual terms' base lists — nothing else. Appended last so exact
     // cost ties (strict-< best pick) keep preferring the base strategies,
     // leaving view-less plans byte-identical to the pre-view planner.
-    const double extent = static_cast<double>(options.view_extent_postings);
-    const double residual =
-        static_cast<double>(options.view_residual_postings);
-    StrategyCostEstimate view;
-    view.strategy = QueryStrategy::kView;
-    view.bytes = (extent + residual) * kWire;
+    const double extent = static_cast<double>(view->extent_postings);
+    const double residual = static_cast<double>(view->residual_postings);
+    StrategyCostEstimate served;
+    served.strategy = QueryStrategy::kView;
+    served.bytes = (extent + residual) * kWire;
     // Columns live under distinct keys and fetch in parallel; a residual
     // term's full list ships from its single owner.
-    view.bottleneck_bytes =
+    served.bottleneck_bytes =
         std::max(extent * kWire /
                      static_cast<double>(
                          std::max<size_t>(1, options.dpp_parallelism / 2)),
                  residual * kWire);
-    costs.push_back(view);
+    costs.push_back(served);
   }
   return costs;
+}
+
+QueryStrategy PickStrategy(const std::vector<StrategyCostEstimate>& costs,
+                           QueryOptions::Objective objective) {
+  KADOP_CHECK(!costs.empty(), "no viable strategy");
+  const StrategyCostEstimate* best = &costs[0];
+  for (const StrategyCostEstimate& c : costs) {
+    const bool better =
+        objective == QueryOptions::Objective::kTraffic
+            ? (c.bytes < best->bytes ||
+               (c.bytes == best->bytes &&
+                c.bottleneck_bytes < best->bottleneck_bytes))
+            : (c.bottleneck_bytes < best->bottleneck_bytes ||
+               (c.bottleneck_bytes == best->bottleneck_bytes &&
+                c.bytes < best->bytes));
+    if (better) best = &c;
+  }
+  return best->strategy;
 }
 
 void QueryExecutor::StartAuto() {
@@ -1114,39 +1036,19 @@ void QueryExecutor::StartAuto() {
     // Catalog consult before strategy selection: a servable rewrite makes
     // kView a priced candidate, with the extent cardinality from the
     // catalog and the residual cost from the just-fetched term counts.
-    QueryOptions planning = options_;
+    std::optional<ViewCandidate> view;
     ViewCatalog* catalog = client_->view_catalog();
     if (catalog != nullptr && catalog->enabled()) {
       view_rewrite_ = catalog->FindRewrite(pattern_, peer_);
       if (view_rewrite_.has_value()) {
-        planning.view_available = true;
-        planning.view_extent_postings = view_rewrite_->extent_postings;
-        uint64_t residual = 0;
-        for (size_t q = 0; q < pattern_.size(); ++q) {
-          if (!view_rewrite_->match.Covers(static_cast<int>(q))) {
-            residual += term_counts_[q];
-          }
-        }
-        planning.view_residual_postings = residual;
+        view = PriceViewRewrite(*view_rewrite_, term_counts_);
       }
     }
-    const std::vector<StrategyCostEstimate> costs =
-        EstimateStrategyCosts(pattern_, term_counts_, planning);
-    KADOP_CHECK(!costs.empty(), "no viable strategy");
-    const StrategyCostEstimate* best = &costs[0];
-    for (const StrategyCostEstimate& c : costs) {
-      const bool better =
-          options_.objective == QueryOptions::Objective::kTraffic
-              ? (c.bytes < best->bytes ||
-                 (c.bytes == best->bytes &&
-                  c.bottleneck_bytes < best->bottleneck_bytes))
-              : (c.bottleneck_bytes < best->bottleneck_bytes ||
-                 (c.bottleneck_bytes == best->bottleneck_bytes &&
-                  c.bytes < best->bytes));
-      if (better) best = &c;
-    }
-    metrics_.effective_strategy = best->strategy;
-    Dispatch(best->strategy);
+    const QueryStrategy pick = PickStrategy(
+        EstimateStrategyCosts(pattern_, term_counts_, options_, view),
+        options_.objective);
+    metrics_.effective_strategy = pick;
+    Dispatch(pick);
   });
 }
 
@@ -1257,7 +1159,6 @@ void QueryExecutor::ServeFromView() {
     spec.pipelined = options_.pipelined;
     spec.block_postings = options_.block_postings;
     spec.retry = options_.fetch_retry;
-    spec.compress = compress_;
     const uint64_t expected = rw.column_counts[v];
     peer_->GetBlocks(spec, [self, gather, v, expected](
                                PostingList block, bool last, bool complete) {
@@ -1267,7 +1168,7 @@ void QueryExecutor::ServeFromView() {
       // full lists in the normalized-volume denominator (full_postings),
       // which understates the denominator on purpose — the extent is what
       // this strategy would fetch at worst.
-      gather->wire_bytes += self->CountIngress(block, self->compress_);
+      gather->wire_bytes += self->CountIngress(block);
       self->metrics_.full_postings += block.size();
       self->metrics_.blocks_fetched++;
       PostingList& column = gather->columns[v];

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "query/block_join.h"
 #include "query/messages.h"
-#include "query/posting_cache.h"
 #include "query/tree_pattern.h"
 #include "query/twig_join.h"
 #include "query/view_manager.h"
@@ -97,20 +96,6 @@ struct QueryOptions {
   /// parallelism (DPP) over the reducers' filter round-trips.
   enum class Objective : uint8_t { kTime = 0, kTraffic = 1 };
   Objective objective = Objective::kTime;
-  /// Delta+varint-compress this query's posting transfers
-  /// (docs/wire_format.md). nullopt follows the process-wide codec switch
-  /// (`codec on|off` in the shell); set explicitly for A/B runs.
-  std::optional<bool> compress;
-  /// Serve repeat fetches from the peer's version-checked posting cache
-  /// and cache complete fetch results for later queries.
-  bool cache_postings = false;
-  /// Planner inputs for kView, filled by kAuto's catalog consult (or by
-  /// tests driving EstimateStrategyCosts directly): whether a servable
-  /// rewrite exists, the matched extent's total stored postings, and the
-  /// summed base-list counts of the residual (uncovered) query terms.
-  bool view_available = false;
-  uint64_t view_extent_postings = 0;
-  uint64_t view_residual_postings = 0;
 };
 
 /// The kAuto cost model: predicted shipped bytes per candidate strategy,
@@ -125,11 +110,32 @@ struct StrategyCostEstimate {
   double bottleneck_bytes = 0;
 };
 
+/// The kView planner input for a servable rewrite: the matched extent's
+/// total stored postings and the summed base-list counts of the residual
+/// (uncovered) query terms.
+struct ViewCandidate {
+  uint64_t extent_postings = 0;
+  uint64_t residual_postings = 0;
+};
+
+/// Prices `rewrite` from the query's per-term stored counts.
+[[nodiscard]] ViewCandidate PriceViewRewrite(
+    const ViewCatalog::Rewrite& rewrite,
+    const std::vector<uint64_t>& term_counts);
+
 /// Estimates costs for the viable strategies given per-term posting
-/// counts. `selective` is the index of the most selective term.
+/// counts; kView is a candidate only when `view` is set.
 [[nodiscard]] std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
-    const QueryOptions& options);
+    const QueryOptions& options,
+    const std::optional<ViewCandidate>& view = std::nullopt);
+
+/// kAuto's pick: the cheapest estimate under `objective` (bytes for
+/// kTraffic, bottleneck bytes for kTime), the other key breaking ties, and
+/// the earliest candidate winning exact ties.
+[[nodiscard]] QueryStrategy PickStrategy(
+    const std::vector<StrategyCostEstimate>& costs,
+    QueryOptions::Objective objective);
 
 struct QueryMetrics {
   double submit_time = 0.0;
@@ -145,15 +151,9 @@ struct QueryMetrics {
   bool degraded = false;
 
   uint64_t postings_received = 0;
-  /// Raw (decoded) bytes of postings shipped to this peer — the paper's
-  /// data-volume unit, independent of the wire encoding.
+  /// Bytes of postings shipped to this peer, in raw 18-byte records — the
+  /// paper's data-volume unit and the one wire framing.
   uint64_t posting_bytes = 0;
-  /// Bytes those postings actually occupied on the wire (== posting_bytes
-  /// unless the transfer was compressed). Cache hits add to neither.
-  uint64_t posting_wire_bytes = 0;
-  /// Posting-cache outcomes for this query's fetches.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   uint64_t ab_filter_bytes = 0;
   uint64_t db_filter_bytes = 0;
   /// Sum of the unfiltered posting-list sizes of all query terms (the
@@ -171,9 +171,9 @@ struct QueryMetrics {
   uint64_t join_result_postings = 0;
   /// kDppJoin: wire bytes of the posting blocks the holders pulled from
   /// each other on this query's behalf. Holder-side ingress, not part of
-  /// posting_wire_bytes (which counts query-peer ingress only); the sum of
-  /// the two is the query's total posting movement — what a view serve's
-  /// posting_wire_bytes competes against.
+  /// posting_bytes (which counts query-peer ingress only); the sum of the
+  /// two is the query's total posting movement — what a view serve's
+  /// posting_bytes competes against.
   uint64_t join_input_wire_bytes = 0;
   /// kView: whether a view extent actually served this query, whether the
   /// rewrite was exact (no residual terms), and whether a kView start fell
@@ -230,10 +230,6 @@ class QueryClient {
   dht::DhtPeer* peer() { return peer_; }
   size_t active_queries() const { return active_.size(); }
 
-  /// This peer's query-side posting cache (see PostingCache); consulted by
-  /// executors when `QueryOptions::cache_postings` is set.
-  PostingCache& posting_cache() { return posting_cache_; }
-
   /// The network's view catalog (may be null). Consulted by kAuto / kView
   /// executors for rewrites, and fed each submitted pattern for the
   /// advisor's query log.
@@ -247,7 +243,6 @@ class QueryClient {
   dht::DhtPeer* peer_;
   uint64_t next_query_id_ = 1;
   std::map<uint64_t, std::shared_ptr<QueryExecutor>> active_;
-  PostingCache posting_cache_;
   ViewCatalog* view_catalog_ = nullptr;
 };
 
@@ -268,20 +263,13 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// fallback alike.
   void Dispatch(QueryStrategy strategy);
   /// Ingress ledger: counts a posting transfer that reached the query peer
-  /// (postings, raw bytes, wire bytes) on both `metrics_` and the registry;
-  /// returns its wire size.
-  size_t CountIngress(const index::PostingList& postings, bool compressed);
-  /// Full-list fetch of `node`'s term with cache consult/fill: used by the
-  /// baseline strategy and the sub-query plan's off-path fetches (the only
-  /// difference being whether blocks_fetched is counted).
+  /// (postings, bytes) on both `metrics_` and the registry; returns its
+  /// size in bytes.
+  size_t CountIngress(const index::PostingList& postings);
+  /// Full-list fetch of `node`'s term: used by the baseline strategy and
+  /// the sub-query plan's off-path fetches (the only difference being
+  /// whether blocks_fetched is counted).
   void FetchStream(size_t node, bool count_blocks);
-  /// Caches a completed fetch result unless the key was mutated while the
-  /// stream was in flight (`pre_version` no longer authoritative). The
-  /// shared overload lets the cache alias the list the join consumes.
-  void MaybeCacheInsert(const dht::GetSpec& spec, uint64_t pre_version,
-                        index::PostingList postings);
-  void MaybeCacheInsert(const dht::GetSpec& spec, uint64_t pre_version,
-                        std::shared_ptr<const index::PostingList> postings);
   void StartBaseline();
   void StartDpp();
   void StartDppJoin();
@@ -345,8 +333,6 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   const uint64_t query_id_;
   const TreePattern pattern_;
   const QueryOptions options_;
-  /// options_.compress resolved against the codec switch at submit time.
-  const bool compress_;
   QueryClient::Callback callback_;
 
   TwigJoin join_;
@@ -368,9 +354,8 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
     size_t next_to_issue = 0;
     size_t outstanding = 0;
     size_t next_to_deliver = 0;
-    /// Out-of-order completions. Shared so a cache hit costs no copy: the
-    /// join's iterator reads the cached storage directly (AppendShared).
-    std::map<size_t, std::shared_ptr<const index::PostingList>> ready;
+    /// Out-of-order completions, moved into the join in block order.
+    std::map<size_t, index::PostingList> ready;
     /// Set when block conditions overlap (random-split ablation): blocks
     /// must be collected fully and merge-sorted before joining.
     bool requires_merge = false;

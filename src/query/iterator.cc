@@ -52,17 +52,6 @@ PostingBlock PostingBlock::FromList(PostingList list) {
   return b;
 }
 
-PostingBlock PostingBlock::FromShared(
-    std::shared_ptr<const PostingList> list) {
-  KADOP_CHECK(list != nullptr, "iterator: null shared block");
-  PostingBlock b;
-  if (!list->empty()) b.bounds_ = Condition{list->front(), list->back()};
-  b.data_ = list->data();
-  b.size_ = list->size();
-  b.shared_ = std::move(list);
-  return b;
-}
-
 // --- PostingListIterator --------------------------------------------------
 
 void PostingListIterator::Push(PostingBlock block) {

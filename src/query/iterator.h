@@ -16,11 +16,8 @@ struct Answer;
 struct TreePattern;
 class TwigJoin;
 
-/// One block of a posting stream, in whichever storage form the producer
-/// has on hand:
-///
-///   - an owned list (network fetches, merged pulls),
-///   - a shared immutable list (zero-copy posting-cache hits).
+/// One block of a posting stream: an owned, sorted list (a network fetch or
+/// a merged pull), moved in without a copy.
 ///
 /// `bounds` is the block's exact first/last posting; the iterator uses
 /// `bounds.hi` to drop a block whole when a skip target lies past it
@@ -28,10 +25,8 @@ class TwigJoin;
 class PostingBlock {
  public:
   static PostingBlock FromList(index::PostingList list);
-  static PostingBlock FromShared(
-      std::shared_ptr<const index::PostingList> list);
 
-  // Move-only: `data_` may point into `owned_`, which a copy would not
+  // Move-only: `data_` points into `owned_`, which a copy would not
   // share.
   PostingBlock(PostingBlock&&) noexcept = default;
   PostingBlock& operator=(PostingBlock&&) noexcept = default;
@@ -51,7 +46,6 @@ class PostingBlock {
   size_t size_ = 0;
   index::Condition bounds_;
   index::PostingList owned_;
-  std::shared_ptr<const index::PostingList> shared_;
 };
 
 /// The iterator contract (ROADMAP item 4; SNIPPETS.md snippet 3):

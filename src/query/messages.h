@@ -103,17 +103,11 @@ struct ReducedListMessage final : sim::Payload {
   uint64_t full_count = 0;
   uint64_t ab_filter_bytes = 0;
   uint64_t db_filter_bytes = 0;
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = index::codec::CompressionEnabled();
 
   size_t SizeBytes() const override {
-    return 36 + index::codec::MemoizedWireBytes(postings, compressed,
-                                                &wire_bytes_memo_);
+    return 36 + index::codec::RawBytes(postings);
   }
   std::string_view TypeName() const override { return "ReducedListMessage"; }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// Asks a term owner for its posting-list size (used by the sub-query

@@ -57,19 +57,6 @@ void TwigJoin::Append(size_t node, PostingList postings) {
   AppendBlock(node, PostingBlock::FromList(std::move(postings)));
 }
 
-void TwigJoin::AppendShared(size_t node,
-                            std::shared_ptr<const PostingList> postings) {
-  if (!postings || postings->empty()) {
-    KADOP_CHECK(node < streams_.size(), "bad stream index");
-    return;
-  }
-  for (size_t i = 1; i < postings->size(); ++i) {
-    KADOP_CHECK(!((*postings)[i] < (*postings)[i - 1]),
-                "stream postings out of order");
-  }
-  AppendBlock(node, PostingBlock::FromShared(std::move(postings)));
-}
-
 void TwigJoin::AppendBlock(size_t node, PostingBlock block) {
   KADOP_CHECK(node < streams_.size(), "bad stream index");
   PostingListIterator& s = streams_[node];

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -73,12 +72,7 @@ class TwigJoin {
   /// that keep their list pass an lvalue and pay one bulk copy.
   void Append(size_t node, index::PostingList postings);
 
-  /// Zero-copy variant: shares an immutable list (posting-cache hits)
-  /// instead of copying it into the stream.
-  void AppendShared(size_t node,
-                    std::shared_ptr<const index::PostingList> postings);
-
-  /// Lowest-level feed: either storage form `PostingBlock` supports.
+  /// Lowest-level feed: a block already built by the caller.
   void AppendBlock(size_t node, PostingBlock block);
 
   /// Marks `node`'s stream as ended.

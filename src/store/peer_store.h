@@ -34,9 +34,9 @@ class PeerStore {
   /// 0 until first modified here, then strictly increasing on every
   /// mutation that changes the stored set. A fresh store instance (handoff
   /// target, replica takeover rebuild) starts a new epoch in the high
-  /// bits, so a version observed before a rebuild can never reappear. The
-  /// query-side posting cache uses this as its staleness oracle
-  /// (docs/wire_format.md).
+  /// bits, so a version observed before a rebuild can never reappear.
+  /// Replicas and views use this as their staleness oracle
+  /// (docs/replication.md, docs/views.md).
   [[nodiscard]] uint64_t PostingVersion(const std::string& key) const;
 
   /// Advances `key`'s version. Every mutating posting op calls this; the

@@ -92,16 +92,8 @@ TEST(CodecTest, CompressionBeatsRawOnClusteredLists) {
   std::mt19937_64 rng(7);
   const PostingList list = RandomSortedList(rng, 2000);
   EXPECT_LT(codec::EncodedBytes(list), codec::RawBytes(list));
-  // The fig3 acceptance bar: at least 2x on clustered data.
+  // At least 2x on clustered data.
   EXPECT_LE(2 * codec::EncodedBytes(list), codec::RawBytes(list));
-}
-
-TEST(CodecTest, SingleBytesMatchesOneElementStream) {
-  std::mt19937_64 rng(9);
-  const PostingList list = RandomSortedList(rng, 50);
-  for (const Posting& p : list) {
-    EXPECT_EQ(codec::EncodedSingleBytes(p), codec::EncodedBytes({p}));
-  }
 }
 
 TEST(CodecTest, TruncatedInputFailsWithCorruption) {
@@ -134,25 +126,6 @@ TEST(CodecTest, AbsurdCountFailsInsteadOfAllocating) {
   PostingList out;
   EXPECT_EQ(codec::DecodePostings(buf, &out).code(),
             StatusCode::kCorruption);
-}
-
-TEST(CodecTest, WireBytesHonorsCompressionFlag) {
-  std::mt19937_64 rng(11);
-  const PostingList list = RandomSortedList(rng, 300);
-  EXPECT_EQ(codec::WireBytes(list, false), codec::RawBytes(list));
-  EXPECT_EQ(codec::WireBytes(list, true), codec::EncodedBytes(list));
-  codec::WireSizeMemo memo;
-  const size_t first = codec::MemoizedWireBytes(list, true, &memo);
-  EXPECT_EQ(first, codec::EncodedBytes(list));
-  EXPECT_EQ(memo.bytes, first);
-  EXPECT_EQ(codec::MemoizedWireBytes(list, true, &memo), first);
-  // The memo revalidates on length change: growing the payload after a
-  // first sizing (messages_test's handoff case) must re-size, not serve
-  // the stale bytes.
-  PostingList grown = list;
-  grown.push_back(grown.back());
-  EXPECT_EQ(codec::MemoizedWireBytes(grown, true, &memo),
-            codec::EncodedBytes(grown));
 }
 
 }  // namespace

@@ -130,44 +130,24 @@ TEST(CostModelTest, DppJoinBytesTrackEstimateTwigResults) {
   EXPECT_DOUBLE_EQ(djoin->bytes, expected);
 }
 
-// Mirrors StartAuto's selection loop exactly (strict improvement, primary
-// key by objective, secondary key as tie-break).
-QueryStrategy Pick(const std::vector<StrategyCostEstimate>& costs,
-                   QueryOptions::Objective objective) {
-  const StrategyCostEstimate* best = &costs[0];
-  for (const StrategyCostEstimate& c : costs) {
-    const bool better =
-        objective == QueryOptions::Objective::kTraffic
-            ? (c.bytes < best->bytes ||
-               (c.bytes == best->bytes &&
-                c.bottleneck_bytes < best->bottleneck_bytes))
-            : (c.bottleneck_bytes < best->bottleneck_bytes ||
-               (c.bottleneck_bytes == best->bottleneck_bytes &&
-                c.bytes < best->bytes));
-    if (better) best = &c;
-  }
-  return best->strategy;
-}
-
 TEST(CostModelTest, TinyExtentFlipsAutoToView) {
   // A selective view collapses both inputs and egress to its tiny extent:
   // kView must beat kDppJoin (and everything else) under both objectives.
   TreePattern pattern = MustParse("//a//b");
   QueryOptions options;
   options.dpp_join_available = true;
-  options.view_available = true;
-  options.view_extent_postings = 10;
-  options.view_residual_postings = 0;
-  auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options);
+  auto costs = EstimateStrategyCosts(
+      pattern, {1000, 5000}, options,
+      ViewCandidate{.extent_postings = 10, .residual_postings = 0});
   const auto* view = Find(costs, QueryStrategy::kView);
   const auto* djoin = Find(costs, QueryStrategy::kDppJoin);
   ASSERT_NE(view, nullptr);
   ASSERT_NE(djoin, nullptr);
   EXPECT_LT(view->bytes, djoin->bytes);
   EXPECT_LT(view->bottleneck_bytes, djoin->bottleneck_bytes);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTraffic),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTraffic),
             QueryStrategy::kView);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTime),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTime),
             QueryStrategy::kView);
 }
 
@@ -177,18 +157,17 @@ TEST(CostModelTest, HugeExtentKeepsAutoOnDppJoin) {
   TreePattern pattern = MustParse("//a//b");
   QueryOptions options;
   options.dpp_join_available = true;
-  options.view_available = true;
-  options.view_extent_postings = 5200;
-  options.view_residual_postings = 300;
-  auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options);
+  auto costs = EstimateStrategyCosts(
+      pattern, {1000, 5000}, options,
+      ViewCandidate{.extent_postings = 5200, .residual_postings = 300});
   const auto* view = Find(costs, QueryStrategy::kView);
   const auto* djoin = Find(costs, QueryStrategy::kDppJoin);
   ASSERT_NE(view, nullptr);
   ASSERT_NE(djoin, nullptr);
   EXPECT_GT(view->bytes, djoin->bytes);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTraffic),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTraffic),
             QueryStrategy::kDppJoin);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTime),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTime),
             QueryStrategy::kDppJoin);
 }
 
@@ -196,7 +175,8 @@ TEST(CostModelTest, NoViewCandidateWithoutRewrite) {
   TreePattern pattern = MustParse("//a//b");
   QueryOptions options;
   options.dpp_join_available = true;
-  auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options);
+  auto costs =
+      EstimateStrategyCosts(pattern, {1000, 5000}, options, std::nullopt);
   EXPECT_EQ(Find(costs, QueryStrategy::kView), nullptr);
 }
 
@@ -240,6 +220,23 @@ TEST_F(ObjectiveTest, BothObjectivesPickDppWhenNothingIsSelective) {
     EXPECT_EQ(result.value().metrics.effective_strategy,
               QueryStrategy::kDpp);
   }
+}
+
+TEST_F(ObjectiveTest, ExplainNamesTheStrategyAutoRuns) {
+  // kBaseline and kDpp tie on bytes under kTraffic; explain must break the
+  // tie the way kAuto does, not name the first tied candidate.
+  QueryOptions qopt;
+  qopt.strategy = QueryStrategy::kAuto;
+  qopt.objective = QueryOptions::Objective::kTraffic;
+  auto result = net_->QueryAndWait(1, "//article//author", qopt);
+  ASSERT_TRUE(result.ok());
+  auto explained = net_->ExplainQueryAndWait(1, "//article//author", qopt);
+  ASSERT_TRUE(explained.ok());
+  const std::string_view ran =
+      QueryStrategyName(result.value().metrics.effective_strategy);
+  const std::string expected = "auto would run: " + std::string(ran) + "\n";
+  EXPECT_NE(explained.value().find(expected), std::string::npos)
+      << explained.value();
 }
 
 TEST_F(ObjectiveTest, AutoAnswersMatchExplicitStrategy) {

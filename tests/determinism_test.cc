@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "core/kadop.h"
-#include "index/codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
@@ -64,8 +63,8 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalOutcomes) {
 }
 
 // The strongest observable we have: the FULL metric registry. Two
-// same-seed runs with compression, the posting cache and seeded faults
-// all enabled must leave every counter, gauge and histogram bucket
+// same-seed runs with seeded faults, views, the advisor and a repeated
+// query must leave every counter, gauge and histogram bucket
 // byte-identical — any wall-clock, RNG or hash-order escape anywhere in
 // the stack shows up here as a diff.
 obs::MetricsSnapshot RunScenarioFullSnapshot() {
@@ -103,10 +102,9 @@ obs::MetricsSnapshot RunScenarioFullSnapshot() {
 
   query::QueryOptions qopt;
   qopt.strategy = query::QueryStrategy::kDpp;
-  qopt.cache_postings = true;
   qopt.fetch_retry.timeout_s = 0.5;
   qopt.fetch_retry.max_retries = 3;
-  // Same query twice: the second pass exercises the cache hit path.
+  // Same query twice: the repeat must replay identically too.
   for (int pass = 0; pass < 2; ++pass) {
     auto result =
         net.QueryAndWait(5, "//article//author[. contains 'Ullman']", qopt);
@@ -125,13 +123,8 @@ obs::MetricsSnapshot RunScenarioFullSnapshot() {
 }
 
 TEST(DeterminismTest, FullMetricSnapshotIsSeedDeterministic) {
-  const bool compression_was = index::codec::CompressionEnabled();
-  index::codec::SetCompressionEnabled(true);
-
   const obs::MetricsSnapshot a = RunScenarioFullSnapshot();
   const obs::MetricsSnapshot b = RunScenarioFullSnapshot();
-
-  index::codec::SetCompressionEnabled(compression_was);
   obs::MetricRegistry::Default().Reset();
 
   EXPECT_EQ(a, b);

@@ -94,10 +94,10 @@ TEST_F(DistributedJoinTest, QueryPeerIngressReducedAndTasksBounded) {
   // The query peer receives answer tuples, never posting lists: its
   // posting ingress must drop by at least 2x vs kDpp (here: to zero,
   // since no task fell back to a local join).
-  EXPECT_GT(dpp.metrics.posting_wire_bytes, 0u);
-  EXPECT_LE(djoin.metrics.posting_wire_bytes * 2,
-            dpp.metrics.posting_wire_bytes);
-  EXPECT_EQ(djoin.metrics.posting_wire_bytes, 0u);
+  EXPECT_GT(dpp.metrics.posting_bytes, 0u);
+  EXPECT_LE(djoin.metrics.posting_bytes * 2,
+            dpp.metrics.posting_bytes);
+  EXPECT_EQ(djoin.metrics.posting_bytes, 0u);
   EXPECT_EQ(djoin.metrics.postings_received, 0u);
 
   // Task bound of Section 4.3: at most one task per surviving block
@@ -203,11 +203,9 @@ index::Condition WindowOverDocs(uint32_t lo_doc, uint32_t hi_doc) {
 
 TEST(TrimmedPullTest, ClampsToTheWindowAndRecordsWhichEndsWereCut) {
   const index::DppBlockInfo block = BlockOverDocs(10, 20, 7);
-  const TrimmedPull inside = TrimToWindow(block, WindowOverDocs(0, 30), {},
-                                          /*compress=*/true);
+  const TrimmedPull inside = TrimToWindow(block, WindowOverDocs(0, 30), {});
   EXPECT_EQ(inside.spec.key, "b");
   EXPECT_FALSE(inside.spec.pipelined);
-  EXPECT_TRUE(inside.spec.compress);
   EXPECT_EQ(inside.spec.lo, block.cond.lo);
   EXPECT_EQ(inside.spec.hi, block.cond.hi);
   EXPECT_FALSE(inside.lower_trimmed);
@@ -215,7 +213,7 @@ TEST(TrimmedPullTest, ClampsToTheWindowAndRecordsWhichEndsWereCut) {
   EXPECT_EQ(inside.expected, 7u);
 
   const index::Condition window = WindowOverDocs(12, 15);
-  const TrimmedPull both = TrimToWindow(block, window, {}, false);
+  const TrimmedPull both = TrimToWindow(block, window, {});
   EXPECT_EQ(both.spec.lo, window.lo);
   EXPECT_EQ(both.spec.hi, window.hi);
   EXPECT_TRUE(both.lower_trimmed);
@@ -225,13 +223,13 @@ TEST(TrimmedPullTest, ClampsToTheWindowAndRecordsWhichEndsWereCut) {
 TEST(TrimmedPullTest, SuspectTruthTable) {
   const index::DppBlockInfo block = BlockOverDocs(10, 20, 5);
   const TrimmedPull untrimmed =
-      TrimToWindow(block, WindowOverDocs(0, 30), {}, false);
+      TrimToWindow(block, WindowOverDocs(0, 30), {});
   const TrimmedPull low_cut =
-      TrimToWindow(block, WindowOverDocs(15, 30), {}, false);
+      TrimToWindow(block, WindowOverDocs(15, 30), {});
   const TrimmedPull high_cut =
-      TrimToWindow(block, WindowOverDocs(0, 15), {}, false);
+      TrimToWindow(block, WindowOverDocs(0, 15), {});
   const TrimmedPull both_cut =
-      TrimToWindow(block, WindowOverDocs(12, 15), {}, false);
+      TrimToWindow(block, WindowOverDocs(12, 15), {});
 
   // Incomplete: suspect whatever arrived and however it was trimmed.
   for (const TrimmedPull* p : {&untrimmed, &low_cut, &high_cut, &both_cut}) {
@@ -252,7 +250,7 @@ TEST(TrimmedPullTest, SuspectTruthTable) {
   EXPECT_FALSE(both_cut.Suspect(true, 3));
   // An empty directory block never makes an empty pull suspect.
   const TrimmedPull empty_low_cut =
-      TrimToWindow(BlockOverDocs(10, 20, 0), WindowOverDocs(15, 30), {}, false);
+      TrimToWindow(BlockOverDocs(10, 20, 0), WindowOverDocs(15, 30), {});
   EXPECT_FALSE(empty_low_cut.Suspect(true, 0));
 }
 

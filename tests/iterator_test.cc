@@ -2,8 +2,8 @@
 // (src/query/iterator.h): every combinator must agree with a naive
 // flat-list oracle on skewed and adversarial posting lists, skips must
 // drop out-of-range blocks whole with exact accounting, and the
-// structural join must produce byte-identical answers whether its inputs
-// arrive owned or shared.
+// structural join must produce byte-identical answers however its inputs
+// are cut into blocks.
 
 #include <gtest/gtest.h>
 
@@ -70,19 +70,11 @@ std::vector<PostingList> RandomChunks(std::mt19937_64& rng,
   return chunks;
 }
 
-enum class Storage { kOwned, kShared };
-
-PostingBlock MakeBlock(PostingList chunk, Storage storage) {
-  if (storage == Storage::kOwned) return PostingBlock::FromList(std::move(chunk));
-  return PostingBlock::FromShared(
-      std::make_shared<const PostingList>(std::move(chunk)));
-}
-
-PostingListIterator MakeIterator(std::mt19937_64& rng, const PostingList& list,
-                                 Storage storage) {
+PostingListIterator MakeIterator(std::mt19937_64& rng,
+                                 const PostingList& list) {
   PostingListIterator it;
   for (PostingList& chunk : RandomChunks(rng, list)) {
-    it.Push(MakeBlock(std::move(chunk), storage));
+    it.Push(PostingBlock::FromList(std::move(chunk)));
   }
   it.Close();
   return it;
@@ -108,61 +100,57 @@ PostingList DistinctOracle(const std::vector<PostingList>& lists) {
 
 // --- PostingListIterator ---------------------------------------------------
 
-TEST(PostingListIteratorTest, DrainMatchesListInEveryStorageForm) {
+TEST(PostingListIteratorTest, DrainMatchesList) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (Storage storage : {Storage::kOwned, Storage::kShared}) {
-      std::mt19937_64 rng(seed);
-      const PostingList list = RandomSortedList(rng, 300);
-      PostingListIterator it = MakeIterator(rng, list, storage);
-      EXPECT_EQ(it.EstimateResultsAmount(), list.size());
-      EXPECT_EQ(Drain(it), list);
-      EXPECT_FALSE(it.HasBuffered());
-      EXPECT_TRUE(it.Exhausted());
-    }
+    std::mt19937_64 rng(seed);
+    const PostingList list = RandomSortedList(rng, 300);
+    PostingListIterator it = MakeIterator(rng, list);
+    EXPECT_EQ(it.EstimateResultsAmount(), list.size());
+    EXPECT_EQ(Drain(it), list);
+    EXPECT_FALSE(it.HasBuffered());
+    EXPECT_TRUE(it.Exhausted());
   }
 }
 
 TEST(PostingListIteratorTest, SkipToMatchesLowerBoundOracle) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (Storage storage : {Storage::kOwned, Storage::kShared}) {
-      std::mt19937_64 rng(seed);
-      const PostingList list = RandomSortedList(rng, 400);
-      PostingListIterator it = MakeIterator(rng, list, storage);
-      // Random non-decreasing targets; the oracle walks the flat list.
-      size_t oracle = 0;  // index of the next unconsumed oracle posting
-      std::uniform_int_distribution<size_t> jump_d(0, 12);
-      std::uniform_int_distribution<int> coin(0, 1);
-      while (oracle < list.size()) {
-        if (coin(rng) == 0) {
-          // Interleave plain reads to exercise mixed access.
-          Posting got;
-          ASSERT_TRUE(it.Read(&got));
-          EXPECT_EQ(got, list[oracle]);
-          ++oracle;
-          continue;
-        }
-        const size_t probe =
-            std::min(list.size() - 1, oracle + jump_d(rng));
-        const Posting target = list[probe];
-        const size_t expect = static_cast<size_t>(
-            std::lower_bound(list.begin() + static_cast<long>(oracle),
-                             list.end(), target) -
-            list.begin());
+    std::mt19937_64 rng(seed);
+    const PostingList list = RandomSortedList(rng, 400);
+    PostingListIterator it = MakeIterator(rng, list);
+    // Random non-decreasing targets; the oracle walks the flat list.
+    size_t oracle = 0;  // index of the next unconsumed oracle posting
+    std::uniform_int_distribution<size_t> jump_d(0, 12);
+    std::uniform_int_distribution<int> coin(0, 1);
+    while (oracle < list.size()) {
+      if (coin(rng) == 0) {
+        // Interleave plain reads to exercise mixed access.
         Posting got;
-        ASSERT_TRUE(it.SkipTo(target, &got));
-        EXPECT_EQ(got, list[expect]);
-        oracle = expect + 1;  // SkipTo consumes the returned posting
+        ASSERT_TRUE(it.Read(&got));
+        EXPECT_EQ(got, list[oracle]);
+        ++oracle;
+        continue;
       }
-      Posting end;
-      EXPECT_FALSE(it.Read(&end));
+      const size_t probe =
+          std::min(list.size() - 1, oracle + jump_d(rng));
+      const Posting target = list[probe];
+      const size_t expect = static_cast<size_t>(
+          std::lower_bound(list.begin() + static_cast<long>(oracle),
+                           list.end(), target) -
+          list.begin());
+      Posting got;
+      ASSERT_TRUE(it.SkipTo(target, &got));
+      EXPECT_EQ(got, list[expect]);
+      oracle = expect + 1;  // SkipTo consumes the returned posting
     }
+    Posting end;
+    EXPECT_FALSE(it.Read(&end));
   }
 }
 
 TEST(PostingListIteratorTest, SkipToPastEverythingReturnsFalse) {
   std::mt19937_64 rng(3);
   const PostingList list = RandomSortedList(rng, 100);
-  PostingListIterator it = MakeIterator(rng, list, Storage::kOwned);
+  PostingListIterator it = MakeIterator(rng, list);
   Posting got;
   EXPECT_FALSE(it.SkipTo(index::kMaxPosting, &got));
   EXPECT_FALSE(it.HasBuffered());
@@ -170,16 +158,16 @@ TEST(PostingListIteratorTest, SkipToPastEverythingReturnsFalse) {
 }
 
 /// Ten blocks over docs [0, 1000), then one block at doc 5000.
-PostingListIterator TenBlocksThenDoc5000(Storage storage) {
+PostingListIterator TenBlocksThenDoc5000() {
   PostingListIterator it;
   for (uint32_t b = 0; b < 10; ++b) {
     PostingList chunk;
     for (uint32_t d = 0; d < 100; ++d) {
       chunk.push_back(Posting{0, b * 100 + d, {1, 2, 1}});
     }
-    it.Push(MakeBlock(std::move(chunk), storage));
+    it.Push(PostingBlock::FromList(std::move(chunk)));
   }
-  it.Push(MakeBlock({Posting{0, 5000, {1, 2, 1}}}, storage));
+  it.Push(PostingBlock::FromList({Posting{0, 5000, {1, 2, 1}}}));
   it.Close();
   return it;
 }
@@ -187,61 +175,55 @@ PostingListIterator TenBlocksThenDoc5000(Storage storage) {
 TEST(PostingListIteratorTest, SkipToDropsBlocksBelowTheTargetWhole) {
   // A SkipTo straight to doc 5000 drops the ten blocks whose last posting
   // lies below the target and keeps the buffered count exact.
-  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
-    PostingListIterator it = TenBlocksThenDoc5000(storage);
-    // Consume part of the first block so a partial block is dropped too.
-    Posting got;
-    ASSERT_TRUE(it.Read(&got));
-    ASSERT_TRUE(it.Read(&got));
-    EXPECT_EQ(it.EstimateResultsAmount(), 999u);
-    ASSERT_TRUE(it.SkipTo(Posting{0, 5000, {0, 0, 0}}, &got));
-    EXPECT_EQ(got, (Posting{0, 5000, {1, 2, 1}}));
-    EXPECT_EQ(it.EstimateResultsAmount(), 0u);
-    EXPECT_TRUE(it.Exhausted());
-  }
+  PostingListIterator it = TenBlocksThenDoc5000();
+  // Consume part of the first block so a partial block is dropped too.
+  Posting got;
+  ASSERT_TRUE(it.Read(&got));
+  ASSERT_TRUE(it.Read(&got));
+  EXPECT_EQ(it.EstimateResultsAmount(), 999u);
+  ASSERT_TRUE(it.SkipTo(Posting{0, 5000, {0, 0, 0}}, &got));
+  EXPECT_EQ(got, (Posting{0, 5000, {1, 2, 1}}));
+  EXPECT_EQ(it.EstimateResultsAmount(), 0u);
+  EXPECT_TRUE(it.Exhausted());
 }
 
 TEST(PostingListIteratorTest, SkipBelowDocDropsWholeBlocksAndCountsThem) {
-  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
-    PostingListIterator it = TenBlocksThenDoc5000(storage);
-    // Five whole blocks plus half of the sixth fall below doc 550.
-    EXPECT_EQ(it.SkipBelowDoc(DocId{0, 550}), 550u);
-    EXPECT_EQ(it.HeadDoc(), (DocId{0, 550}));
-    EXPECT_EQ(it.EstimateResultsAmount(), 451u);
-    // Past every block but the last: nine more whole or partial blocks.
-    EXPECT_EQ(it.SkipBelowDoc(DocId{0, 4000}), 450u);
-    EXPECT_EQ(it.HeadDoc(), (DocId{0, 5000}));
-    // A target at or below the head drops nothing.
-    EXPECT_EQ(it.SkipBelowDoc(DocId{0, 5000}), 0u);
-    EXPECT_EQ(it.SkipAll(), 1u);
-    EXPECT_FALSE(it.HasBuffered());
-  }
+  PostingListIterator it = TenBlocksThenDoc5000();
+  // Five whole blocks plus half of the sixth fall below doc 550.
+  EXPECT_EQ(it.SkipBelowDoc(DocId{0, 550}), 550u);
+  EXPECT_EQ(it.HeadDoc(), (DocId{0, 550}));
+  EXPECT_EQ(it.EstimateResultsAmount(), 451u);
+  // Past every block but the last: nine more whole or partial blocks.
+  EXPECT_EQ(it.SkipBelowDoc(DocId{0, 4000}), 450u);
+  EXPECT_EQ(it.HeadDoc(), (DocId{0, 5000}));
+  // A target at or below the head drops nothing.
+  EXPECT_EQ(it.SkipBelowDoc(DocId{0, 5000}), 0u);
+  EXPECT_EQ(it.SkipAll(), 1u);
+  EXPECT_FALSE(it.HasBuffered());
 }
 
 TEST(PostingListIteratorTest, GallopingWorstCaseLandsExactly) {
   // The galloping worst case: one giant leap from the head of a large
   // stream to its very last posting, through twenty whole blocks and then
   // a gallop across a 1000-posting block.
-  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
-    PostingListIterator it;
-    for (uint32_t b = 0; b < 20; ++b) {
-      PostingList chunk;
-      for (uint32_t d = 0; d < 50; ++d) {
-        chunk.push_back(Posting{0, b * 50 + d, {1, 2, 1}});
-      }
-      it.Push(MakeBlock(std::move(chunk), storage));
+  PostingListIterator it;
+  for (uint32_t b = 0; b < 20; ++b) {
+    PostingList chunk;
+    for (uint32_t d = 0; d < 50; ++d) {
+      chunk.push_back(Posting{0, b * 50 + d, {1, 2, 1}});
     }
-    PostingList big;
-    for (uint32_t i = 0; i < 1000; ++i) {
-      big.push_back(Posting{0, 99999, {10 + i, 10 + i, 2}});
-    }
-    it.Push(MakeBlock(big, storage));
-    it.Close();
-    Posting got;
-    ASSERT_TRUE(it.SkipTo(big.back(), &got));
-    EXPECT_EQ(got, big.back());
-    EXPECT_TRUE(it.Exhausted());
+    it.Push(PostingBlock::FromList(std::move(chunk)));
   }
+  PostingList big;
+  for (uint32_t i = 0; i < 1000; ++i) {
+    big.push_back(Posting{0, 99999, {10 + i, 10 + i, 2}});
+  }
+  it.Push(PostingBlock::FromList(big));
+  it.Close();
+  Posting got;
+  ASSERT_TRUE(it.SkipTo(big.back(), &got));
+  EXPECT_EQ(got, big.back());
+  EXPECT_TRUE(it.Exhausted());
 }
 
 TEST(PostingListIteratorTest, AdversarialShapes) {
@@ -253,7 +235,7 @@ TEST(PostingListIteratorTest, AdversarialShapes) {
   it.Push(PostingBlock::FromList(PostingList(32, dup)));
   it.Push(PostingBlock::FromList({Posting{1, 2, {1, 1, 1}}}));
   it.Push(PostingBlock::FromList({}));
-  it.Push(MakeBlock({Posting{2, 0, {1, 4, 1}}}, Storage::kShared));
+  it.Push(PostingBlock::FromList({Posting{2, 0, {1, 4, 1}}}));
   it.Close();
   PostingList expect(32, dup);
   expect.push_back(Posting{1, 2, {1, 1, 1}});
@@ -264,7 +246,7 @@ TEST(PostingListIteratorTest, AdversarialShapes) {
 TEST(PostingListIteratorTest, AbortDropsEverything) {
   std::mt19937_64 rng(6);
   PostingListIterator it =
-      MakeIterator(rng, RandomSortedList(rng, 50), Storage::kOwned);
+      MakeIterator(rng, RandomSortedList(rng, 50));
   it.Abort();
   EXPECT_TRUE(it.Exhausted());
   EXPECT_EQ(it.EstimateResultsAmount(), 0u);
@@ -282,10 +264,8 @@ TEST(UnionIteratorTest, MatchesSortUniqueOracle) {
     std::vector<std::unique_ptr<IndexIterator>> children;
     for (int i = 0; i < 4; ++i) {
       lists.push_back(RandomSortedList(rng, n_d(rng)));
-      const Storage storage =
-          static_cast<Storage>(i % 2);  // mix storage forms
       children.push_back(std::make_unique<PostingListIterator>(
-          MakeIterator(rng, lists.back(), storage)));
+          MakeIterator(rng, lists.back())));
     }
     UnionIterator u(std::move(children));
     EXPECT_EQ(Drain(u), DistinctOracle(lists));
@@ -299,7 +279,7 @@ TEST(UnionIteratorTest, SkipToMatchesOracle) {
   for (int i = 0; i < 3; ++i) {
     lists.push_back(RandomSortedList(rng, 150));
     children.push_back(std::make_unique<PostingListIterator>(
-        MakeIterator(rng, lists.back(), Storage::kOwned)));
+        MakeIterator(rng, lists.back())));
   }
   const PostingList oracle = DistinctOracle(lists);
   UnionIterator u(std::move(children));
@@ -329,7 +309,7 @@ TEST(MergeDistinctTest, MatchesSortUniqueOracle) {
 
     std::vector<PostingBlock> blocks;
     for (size_t i = 0; i < lists.size(); ++i) {
-      blocks.push_back(MakeBlock(lists[i], static_cast<Storage>(i % 2)));
+      blocks.push_back(PostingBlock::FromList(lists[i]));
     }
     EXPECT_EQ(MergeDistinct(std::move(blocks)), oracle);
   }
@@ -378,14 +358,14 @@ struct TwigFixture {
 
 std::vector<Answer> RunJoin(const TreePattern& pattern,
                             const PostingList& ancestors,
-                            const PostingList& descendants, Storage storage,
+                            const PostingList& descendants,
                             std::mt19937_64& rng) {
   StructuralJoinIterator join(pattern);
   for (PostingList& chunk : RandomChunks(rng, ancestors)) {
-    join.AddInput(0, MakeBlock(std::move(chunk), storage));
+    join.AddInput(0, PostingBlock::FromList(std::move(chunk)));
   }
   for (PostingList& chunk : RandomChunks(rng, descendants)) {
-    join.AddInput(1, MakeBlock(std::move(chunk), storage));
+    join.AddInput(1, PostingBlock::FromList(std::move(chunk)));
   }
   join.Run();
   return join.TakeAnswers();
@@ -399,19 +379,17 @@ bool AnswersEqual(const std::vector<Answer>& a, const std::vector<Answer>& b) {
   return true;
 }
 
-TEST(StructuralJoinIteratorTest, SharedInputsMatchOwnedByteForByte) {
+TEST(StructuralJoinIteratorTest, BlockBoundariesDoNotChangeAnswers) {
   const TreePattern pattern = MustParse("//a//b");
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed);
     TwigFixture fx(rng, 120, 3);
     std::mt19937_64 rng_a(seed * 101);
     std::mt19937_64 rng_b(seed * 101 + 1);
-    const auto owned =
-        RunJoin(pattern, fx.ancestors, fx.descendants, Storage::kOwned, rng_a);
-    const auto shared =
-        RunJoin(pattern, fx.ancestors, fx.descendants, Storage::kShared, rng_b);
-    EXPECT_GT(owned.size(), 0u);
-    EXPECT_TRUE(AnswersEqual(owned, shared));
+    const auto a = RunJoin(pattern, fx.ancestors, fx.descendants, rng_a);
+    const auto b = RunJoin(pattern, fx.ancestors, fx.descendants, rng_b);
+    EXPECT_GT(a.size(), 0u);
+    EXPECT_TRUE(AnswersEqual(a, b));
   }
 }
 
@@ -420,22 +398,20 @@ TEST(StructuralJoinIteratorTest, LeapfrogSkipsOutOfRangeBlocks) {
   // the other stream's blocks below it whole, and still counts their
   // postings as consumed.
   const TreePattern pattern = MustParse("//a//b");
-  for (Storage storage : {Storage::kOwned, Storage::kShared}) {
-    StructuralJoinIterator join(pattern);
-    join.AddInput(0, PostingBlock::FromList({Posting{0, 950, {1, 1000, 1}}}));
-    for (uint32_t b = 0; b < 9; ++b) {
-      PostingList chunk;
-      for (uint32_t d = 0; d < 100; ++d) {
-        chunk.push_back(Posting{0, b * 100 + d, {10, 10, 3}});
-      }
-      join.AddInput(1, MakeBlock(std::move(chunk), storage));
+  StructuralJoinIterator join(pattern);
+  join.AddInput(0, PostingBlock::FromList({Posting{0, 950, {1, 1000, 1}}}));
+  for (uint32_t b = 0; b < 9; ++b) {
+    PostingList chunk;
+    for (uint32_t d = 0; d < 100; ++d) {
+      chunk.push_back(Posting{0, b * 100 + d, {10, 10, 3}});
     }
-    join.AddInput(1, MakeBlock({Posting{0, 950, {10, 10, 3}}}, storage));
-    join.Run();
-    ASSERT_EQ(join.answers().size(), 1u);
-    EXPECT_EQ(join.answers()[0].doc, (DocId{0, 950}));
-    EXPECT_EQ(join.postings_consumed(), 1u + 900u + 1u);
+    join.AddInput(1, PostingBlock::FromList(std::move(chunk)));
   }
+  join.AddInput(1, PostingBlock::FromList({Posting{0, 950, {10, 10, 3}}}));
+  join.Run();
+  ASSERT_EQ(join.answers().size(), 1u);
+  EXPECT_EQ(join.answers()[0].doc, (DocId{0, 950}));
+  EXPECT_EQ(join.postings_consumed(), 1u + 900u + 1u);
 }
 
 TEST(StructuralJoinIteratorTest, TakeMovesTheResultsOut) {

@@ -403,8 +403,7 @@ TEST(ReplicationQueryTest, ReplicaServedAnswersByteIdenticalToGroundTruth) {
   EXPECT_GT(CounterValue("repl.replica_gets"), replica_gets_before);
 
   // Append during replication: versions bump, every replica is stale until
-  // re-copied, and no query may ever see the pre-append answer set (the
-  // version-guard sibling of CacheNeverServesPreAppendResultsUnderFaults).
+  // re-copied, and no query may ever see the pre-append answer set.
   net.PublishAndWait(2, extra_ptrs);
   for (int round = 0; round < 4; ++round) {
     for (const char* expr : kQueries) {

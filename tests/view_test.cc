@@ -107,8 +107,8 @@ TEST_F(ViewTest, ViewHitShipsFewerPostingBytes) {
   // The extent's deduplicated columns are strict subsets of the base term
   // lists (inproceedings authors never enter the view), so a hit moves
   // strictly fewer posting bytes to the query peer than a kDpp fetch.
-  EXPECT_GT(view.metrics.posting_wire_bytes, 0u);
-  EXPECT_LT(view.metrics.posting_wire_bytes, dpp.metrics.posting_wire_bytes);
+  EXPECT_GT(view.metrics.posting_bytes, 0u);
+  EXPECT_LT(view.metrics.posting_bytes, dpp.metrics.posting_bytes);
   EXPECT_GT(Counter("view.hits"), 0u);
   EXPECT_GT(Counter("view.bytes_served"), 0u);
 }
@@ -128,7 +128,7 @@ TEST_F(ViewTest, ContainmentRewriteFiltersResidualPredicates) {
   EXPECT_EQ(view.answers, dpp.answers);
   EXPECT_EQ(view.matched_docs, dpp.matched_docs);
   // The residual (journal) list was fetched alongside the extent columns.
-  EXPECT_GT(view.metrics.posting_wire_bytes, 0u);
+  EXPECT_GT(view.metrics.posting_bytes, 0u);
 }
 
 TEST_F(ViewTest, IncrementalMaintenanceTracksAppends) {

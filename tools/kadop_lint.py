@@ -42,12 +42,12 @@ Enforces invariants no off-the-shelf tool knows about:
                              fields are grandfathered per file.
   KDP010  raw-posting-math   `... * Posting::kWireBytes` (or `kWireBytes *
                              ...`) arithmetic outside src/index/posting.h
-                             and src/index/codec.{h,cc}. Posting transfer
-                             and storage sizes must route through the codec
-                             size functions (codec::RawBytes / WireBytes /
-                             StoredBytes) so compression is charged
-                             consistently everywhere; a bare non-multiplied
-                             `kWireBytes` term (fixed-format field) is fine.
+                             and src/index/codec.h. Posting transfer
+                             and storage sizes must route through
+                             codec::RawBytes so every payload, store charge
+                             and planner estimate sizes postings the same
+                             way; a bare non-multiplied `kWireBytes` term
+                             (fixed-format field) is fine.
 
 Deliberate exceptions use the shared `// KDP-ALLOW(KDPxxx): <reason>`
 suppression syntax (kdp_common.py — same mechanism as kadop_analyze.py);
@@ -119,12 +119,11 @@ RE_RAW_POSTING_MATH = re.compile(
 )
 
 # KDP010 exempt list: the raw record size's definition site and the codec
-# library, which is the sanctioned home of raw-size arithmetic
-# (codec::RawBytes and friends).
+# header, which is the sanctioned home of raw-size arithmetic
+# (codec::RawBytes).
 KDP010_EXEMPT_FILES = {
     "src/index/posting.h",
     "src/index/codec.h",
-    "src/index/codec.cc",
 }
 
 # KDP009 grandfather list: files whose *_count declarations predate the
@@ -261,9 +260,9 @@ def check_file(path: Path, rel: str, text: str) -> list[Violation]:
     if in_src and rel not in KDP010_EXEMPT_FILES:
         for m in RE_RAW_POSTING_MATH.finditer(clean):
             add("KDP010", m.start(),
-                "raw `* Posting::kWireBytes` size math; use the codec size "
-                "functions (index::codec::RawBytes/WireBytes/StoredBytes) "
-                "so compression is charged consistently")
+                "raw `* Posting::kWireBytes` size math; use "
+                "index::codec::RawBytes so postings are sized the same way "
+                "everywhere")
 
     return violations
 

@@ -21,7 +21,6 @@
 
 #include "core/kadop.h"
 #include "dht/ring.h"
-#include "index/codec.h"
 #include "obs/buildinfo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,10 +74,6 @@ class Shell {
       CmdMetrics();
     } else if (cmd == "trace") {
       CmdTrace(in);
-    } else if (cmd == "codec") {
-      CmdCodec(in);
-    } else if (cmd == "cache") {
-      CmdCache(in);
     } else if (cmd == "repl") {
       CmdRepl(in);
     } else if (cmd == "views") {
@@ -133,8 +128,6 @@ class Shell {
         "  trace on|off|dump [json]|clear   virtual-time span tracing\n"
         "  trace report                     per-query phase breakdown\n"
         "  trace export [file]              Chrome trace_event JSON\n"
-        "  codec on|off | codec             delta+varint posting transfers\n"
-        "  cache on|off|stats|clear         query-side posting cache\n"
         "  repl on|off|stats                hot-data replication + routing\n"
         "  views on|off|stats|list          materialized tree-pattern views\n"
         "  views create <xpath> [name]      materialize a view\n"
@@ -283,7 +276,6 @@ class Shell {
       // query: bounded retries, and losses surface as a degraded result.
       options.fetch_retry.timeout_s = 0.5;
     }
-    options.cache_postings = cache_postings_;
     auto result =
         net_->QueryAndWait(static_cast<sim::NodeIndex>(peer), xpath, options);
     if (!result.ok()) {
@@ -304,14 +296,6 @@ class Shell {
         std::string(query::QueryStrategyName(m.effective_strategy)).c_str(),
         m.posting_bytes / 1024.0, m.ab_filter_bytes / 1024.0,
         m.db_filter_bytes / 1024.0, m.NormalizedDataVolume());
-    if (m.posting_wire_bytes != m.posting_bytes) {
-      std::printf("codec: %.1f KB on the wire (%.2fx vs raw)\n",
-                  m.posting_wire_bytes / 1024.0,
-                  m.posting_wire_bytes > 0
-                      ? static_cast<double>(m.posting_bytes) /
-                            static_cast<double>(m.posting_wire_bytes)
-                      : 0.0);
-    }
     if (m.view_hit) {
       std::printf("view: hit (%s rewrite)\n",
                   m.view_exact ? "exact" : "containment");
@@ -324,11 +308,6 @@ class Shell {
     if (m.join_input_wire_bytes > 0) {
       std::printf("join input: %.1f KB pulled at the holder\n",
                   m.join_input_wire_bytes / 1024.0);
-    }
-    if (m.cache_hits + m.cache_misses > 0) {
-      std::printf("posting cache: %llu hits, %llu misses\n",
-                  static_cast<unsigned long long>(m.cache_hits),
-                  static_cast<unsigned long long>(m.cache_misses));
     }
     if (m.blocks_fetched + m.blocks_skipped > 0) {
       std::printf("DPP blocks: %llu fetched, %llu skipped\n",
@@ -494,66 +473,6 @@ class Shell {
     std::printf("warning: trace buffer full — %llu span(s) dropped; raise "
                 "Tracer capacity or 'trace clear' between runs\n",
                 static_cast<unsigned long long>(dropped));
-  }
-
-  void CmdCodec(std::istringstream& in) {
-    std::string sub;
-    in >> sub;
-    if (sub == "on" || sub == "off") {
-      index::codec::SetCompressionEnabled(sub == "on");
-    } else if (!sub.empty()) {
-      std::printf("usage: codec [on|off]\n");
-      return;
-    }
-    std::printf("codec %s (delta+varint posting transfers; per-query "
-                "override via QueryOptions::compress)\n",
-                index::codec::CompressionEnabled() ? "on" : "off");
-  }
-
-  void CmdCache(std::istringstream& in) {
-    std::string sub;
-    in >> sub;
-    if (sub == "on" || sub == "off") {
-      cache_postings_ = sub == "on";
-      std::printf("posting cache %s for subsequent queries\n", sub.c_str());
-      return;
-    }
-    if (!RequireNet()) return;
-    if (sub == "clear") {
-      for (size_t p = 0; p < net_->PeerCount(); ++p) {
-        net_->peer(static_cast<sim::NodeIndex>(p))
-            ->query_client()
-            .posting_cache()
-            .Clear();
-      }
-      std::printf("posting caches cleared on all peers\n");
-      return;
-    }
-    if (!sub.empty() && sub != "stats") {
-      std::printf("usage: cache on|off|stats|clear\n");
-      return;
-    }
-    size_t entries = 0, bytes = 0;
-    uint64_t hits = 0, misses = 0, evictions = 0, invalidations = 0;
-    for (size_t p = 0; p < net_->PeerCount(); ++p) {
-      const auto& cache = net_->peer(static_cast<sim::NodeIndex>(p))
-                              ->query_client()
-                              .posting_cache();
-      entries += cache.entries();
-      bytes += cache.bytes();
-      hits += cache.hits();
-      misses += cache.misses();
-      evictions += cache.evictions();
-      invalidations += cache.invalidations();
-    }
-    std::printf(
-        "posting cache %s | %zu entries, %.1f KB across %zu peers\n"
-        "  hits %llu, misses %llu, evictions %llu, invalidations %llu\n",
-        cache_postings_ ? "on" : "off", entries, bytes / 1024.0,
-        net_->PeerCount(), static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(misses),
-        static_cast<unsigned long long>(evictions),
-        static_cast<unsigned long long>(invalidations));
   }
 
   void CmdRepl(std::istringstream& in) {
@@ -816,7 +735,6 @@ class Shell {
 
   std::unique_ptr<core::KadopNet> net_;
   std::vector<xml::Document> docs_;
-  bool cache_postings_ = false;
   bool warned_dropped_ = false;
 };
 

@@ -376,18 +376,13 @@ struct FundexQueryContext
     // citing elements (a no-op mapping for the extensional mode).
     FX().completion_joins->Increment();
     obs::Tracer::Default().Event("fundex.completion_join");
-    query::TwigJoin join(pattern);
+    std::vector<std::vector<PostingList>> gathered(pattern.size());
     for (size_t node = 0; node < pattern.size(); ++node) {
-      std::sort(streams[node].begin(), streams[node].end());
-      streams[node].erase(
-          std::unique(streams[node].begin(), streams[node].end()),
-          streams[node].end());
-      join.Append(node, streams[node]);
-      join.Close(node);
+      gathered[node].push_back(std::move(streams[node]));
     }
-    join.Advance();
-    result.answers = join.answers();
-    result.matched_docs = join.matched_docs();
+    query::JoinResult join = query::JoinGathered(pattern, std::move(gathered));
+    result.answers = std::move(join.answers);
+    result.matched_docs = std::move(join.matched_docs);
     result.response_time = peer->network()->Now() - start_time;
     if (callback) callback(std::move(result));
   }

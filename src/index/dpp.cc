@@ -41,7 +41,7 @@ using sim::NodeIndex;
 using sim::TrafficCategory;
 
 DppManager::DppManager(dht::DhtPeer* peer, DppOptions options)
-    : peer_(peer), options_(options), rng_(peer->id() ^ 0xd9f1c2a7) {
+    : peer_(peer), options_(options) {
   KADOP_CHECK(peer_ != nullptr, "DppManager requires a peer");
   KADOP_CHECK(options_.max_block_postings >= 2, "block size too small");
 }
@@ -60,26 +60,21 @@ bool DppManager::OnAppend(const AppendRequest& request) {
   return true;
 }
 
-size_t DppManager::FindBlock(TermState& st, const Posting& p) {
-  // Ordered blocks: the last block whose lower bound is <= p; postings
-  // below every block go to the first. With random splits, conditions
-  // overlap — pick uniformly among the blocks containing p.
-  std::vector<size_t> containing;
+size_t DppManager::FindBlock(const TermState& st, const Posting& p) {
+  // Conditions are ordered and pairwise disjoint, so at most one contains
+  // p; otherwise the floor rule on lower bounds places it.
+  size_t floor = 0;
   for (size_t i = 0; i < st.blocks.size(); ++i) {
-    if (!st.blocks[i].cond.Empty() && st.blocks[i].cond.Contains(p)) {
-      containing.push_back(i);
+    const Condition& cond = st.blocks[i].cond;
+    if (cond.Empty()) {
+      floor = i;
+    } else if (cond.Contains(p)) {
+      return i;
+    } else if (!(p < cond.lo)) {
+      floor = i;
     }
   }
-  if (containing.size() == 1) return containing[0];
-  if (containing.size() > 1) {
-    return containing[rng_.Uniform(containing.size())];
-  }
-  // Not inside any condition: floor rule on lower bounds.
-  size_t chosen = 0;
-  for (size_t i = 0; i < st.blocks.size(); ++i) {
-    if (st.blocks[i].cond.Empty() || !(p < st.blocks[i].cond.lo)) chosen = i;
-  }
-  return chosen;
+  return floor;
 }
 
 void DppManager::ProcessAppend(const AppendRequest& request) {
@@ -347,12 +342,11 @@ void DppManager::MaybeSplit(const std::string& term_key) {
   };
 
   if (block_key == term_key) {
-    PerformLocalSplit(block_key, new_key, !options_.ordered_splits, done);
+    PerformLocalSplit(block_key, new_key, done);
   } else {
     auto msg = std::make_shared<DppSplitBlock>();
     msg->block_key = block_key;
     msg->new_block_key = new_key;
-    msg->random_split = !options_.ordered_splits;
     peer_->RouteApp(block_key, std::move(msg), TrafficCategory::kControl,
                     [done](sim::PayloadPtr inner) {
                       auto* result = dynamic_cast<DppSplitDone*>(inner.get());
@@ -392,7 +386,6 @@ void DppManager::FinishSplit(const std::string& term_key, size_t block_index,
 
 void DppManager::PerformLocalSplit(const std::string& block_key,
                                    const std::string& new_block_key,
-                                   bool random_split,
                                    std::function<void(DppSplitDone)> done) {
   store::PeerStore* store = peer_->store();
   PostingList all = store->GetPostings(block_key);
@@ -402,25 +395,9 @@ void DppManager::PerformLocalSplit(const std::string& block_key,
     done(result);
     return;
   }
-  PostingList lower;
-  PostingList upper;
-  if (random_split) {
-    for (size_t i = 0; i < all.size(); ++i) {
-      (rng_.Bernoulli(0.5) ? upper : lower).push_back(all[i]);
-    }
-    if (lower.empty()) {
-      lower.push_back(upper.back());
-      upper.pop_back();
-    }
-    if (upper.empty()) {
-      upper.push_back(lower.back());
-      lower.pop_back();
-    }
-  } else {
-    const size_t mid = all.size() / 2;
-    lower.assign(all.begin(), all.begin() + mid);
-    upper.assign(all.begin() + mid, all.end());
-  }
+  const size_t mid = all.size() / 2;
+  PostingList lower(all.begin(), all.begin() + mid);
+  PostingList upper(all.begin() + mid, all.end());
   for (const Posting& p : upper) store->DeletePosting(block_key, p);
 
   DppSplitDone result;
@@ -494,7 +471,6 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
     const NodeIndex origin = request.origin;
     const dht::RequestId req_id = request.req_id;
     PerformLocalSplit(split->block_key, split->new_block_key,
-                      split->random_split,
                       [this, origin, req_id](DppSplitDone result) {
                         auto resp = std::make_shared<DppSplitDone>(
                             std::move(result));

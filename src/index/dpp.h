@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/random.h"
 #include "dht/peer.h"
 #include "index/dpp_messages.h"
 
@@ -21,9 +20,6 @@ struct DppOptions {
   /// pseudo-key `ovf:<i>:<term>`. (The paper bounds data blocks at 4 MB;
   /// 16 Ki postings ~ 300 KB matches our scaled-down volumes.)
   size_t max_block_postings = 16384;
-  /// Ordered (range) splits per the paper, or the random-distribution
-  /// alternative it evaluates and rejects in Section 4.1.
-  bool ordered_splits = true;
 };
 
 struct DppStats {
@@ -147,21 +143,23 @@ class DppManager {
   };
 
   void ProcessAppend(const dht::AppendRequest& request);
-  /// Index of the block a posting belongs to.
-  [[nodiscard]] size_t FindBlock(TermState& st, const Posting& p);
+  /// Index of the block a posting belongs to: the block whose condition
+  /// contains it, else the last block whose lower bound is <= it (the
+  /// first block for postings below every block).
+  [[nodiscard]] static size_t FindBlock(const TermState& st, const Posting& p);
   void MaybeSplit(const std::string& term_key);
   void FinishSplit(const std::string& term_key, size_t block_index,
                    std::string new_key, const DppSplitDone& done);
-  /// Executes a split of a locally stored block and migrates the upper
-  /// half; used for both the owner's local block and the holder role.
+  /// Executes a split of a locally stored block at its median and
+  /// migrates the upper half; used for both the owner's local block and
+  /// the holder role.
   void PerformLocalSplit(const std::string& block_key,
-                         const std::string& new_block_key, bool random_split,
+                         const std::string& new_block_key,
                          std::function<void(DppSplitDone)> done);
 
   dht::DhtPeer* peer_;
   DppOptions options_;
   DppStats stats_;
-  Rng rng_;
   std::unordered_map<std::string, TermState> terms_;
 };
 

@@ -53,14 +53,10 @@ struct DppStoreBlockDone final : sim::Payload {
 };
 
 /// Asks the holder of `block_key` to split the block: keep the lower half,
-/// migrate the upper half to `new_block_key` (routed by the DHT). With
-/// `random_split` (the ablation of Section 4.1), postings are dealt
-/// alternately instead of by the median, so both halves keep the full
-/// range.
+/// migrate the upper half to `new_block_key` (routed by the DHT).
 struct DppSplitBlock final : sim::Payload {
   std::string block_key;
   std::string new_block_key;
-  bool random_split = false;
 
   size_t SizeBytes() const override {
     return block_key.size() + new_block_key.size() + 4;

@@ -1,10 +1,12 @@
 #ifndef KADOP_INDEX_POSTING_H_
 #define KADOP_INDEX_POSTING_H_
 
+#include <algorithm>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "xml/sid.h"
@@ -76,6 +78,36 @@ using PostingList = std::vector<Posting>;
     if (list[i] < list[i - 1]) return false;
   }
   return true;
+}
+
+/// Distinct union of `lists` in canonical order: concatenates them, then
+/// keeps one copy of each run of exact duplicates (within and across
+/// lists). Sorted lists are merged run by run in linear time — a list that
+/// starts after everything before it (disjoint pulls of ordered DPP
+/// blocks, arriving in order) needs no merge at all; only an unsorted
+/// input makes the concatenation be sorted whole.
+[[nodiscard]] inline PostingList MergeDistinct(std::vector<PostingList> lists) {
+  PostingList merged;
+  if (lists.empty()) return merged;
+  size_t total = 0;
+  for (const PostingList& l : lists) total += l.size();
+  merged = std::move(lists.front());
+  merged.reserve(total);
+  bool sorted = IsSortedPostingList(merged);
+  for (size_t i = 1; i < lists.size(); ++i) {
+    const size_t mid = merged.size();
+    merged.insert(merged.end(), lists[i].begin(), lists[i].end());
+    sorted = sorted && IsSortedPostingList(lists[i]);
+    if (sorted && mid > 0 && mid < merged.size() &&
+        merged[mid] < merged[mid - 1]) {
+      std::inplace_merge(merged.begin(),
+                         merged.begin() + static_cast<std::ptrdiff_t>(mid),
+                         merged.end());
+    }
+  }
+  if (!sorted) std::sort(merged.begin(), merged.end());
+  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  return merged;
 }
 
 }  // namespace kadop::index

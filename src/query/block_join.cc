@@ -10,7 +10,6 @@
 #include "index/codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/iterator.h"
 #include "query/twig_join.h"
 
 namespace kadop::query {
@@ -131,19 +130,18 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
 
   auto finish = [state, peer, origin, req_id, query_id, task, span]() {
     obs::Tracer::Default().End(span);
-    StructuralJoinIterator join =
-        JoinGathered(state->pattern, std::move(state->gathered));
+    JoinResult join = JoinGathered(state->pattern, std::move(state->gathered));
 
     auto result = std::make_shared<index::JoinResultMessage>();
     result->query_id = query_id;
     result->task = task;
     result->nodes_per_answer =
         static_cast<uint32_t>(state->pattern.size());
-    result->matched_docs = join.TakeMatchedDocs();
-    result->answer_docs.reserve(join.answers().size());
-    result->answer_sids.reserve(join.answers().size() *
+    result->matched_docs = std::move(join.matched_docs);
+    result->answer_docs.reserve(join.answers.size());
+    result->answer_sids.reserve(join.answers.size() *
                                 state->pattern.size());
-    for (const Answer& a : join.answers()) {
+    for (const Answer& a : join.answers) {
       result->answer_docs.push_back(a.doc);
       result->answer_sids.insert(result->answer_sids.end(),
                                  a.elements.begin(), a.elements.end());

@@ -9,7 +9,6 @@
 #include "index/codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/iterator.h"
 
 namespace kadop::query {
 
@@ -341,12 +340,10 @@ void QueryExecutor::OnDppDirectoriesReady() {
       empty = true;
       continue;
     }
+    // Directories are ascending with disjoint conditions: the first and
+    // last blocks hold the term's extremes.
     const DocId lo = blocks.front().cond.MinDoc();
-    DocId hi = blocks.back().cond.MaxDoc();
-    // With random (unordered) splits conditions overlap; take true extremes.
-    for (const auto& b : blocks) {
-      if (hi < b.cond.MaxDoc()) hi = b.cond.MaxDoc();
-    }
+    const DocId hi = blocks.back().cond.MaxDoc();
     if (min_doc < lo) min_doc = lo;
     if (hi < max_doc) max_doc = hi;
   }
@@ -426,14 +423,6 @@ void QueryExecutor::OnDppDirectoriesReady() {
       }
     }
     st.blocks = std::move(kept);
-    // Overlapping conditions (random-split ablation) cannot be streamed in
-    // order: collect fully and merge before feeding the join.
-    st.requires_merge = false;
-    for (size_t i = 1; i < st.blocks.size(); ++i) {
-      if (st.blocks[i - 1].cond.Intersects(st.blocks[i].cond)) {
-        st.requires_merge = true;
-      }
-    }
     if (dpp_join_mode_) continue;  // no query-side fetches in join mode
     if (st.blocks.empty()) {
       stream_closed_[node] = true;
@@ -609,9 +598,9 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
 
   auto on_all = [self, task, gather]() {
     // The holder's join over the same pulls (merge-distinct, then join).
-    StructuralJoinIterator join =
-        JoinGathered(self->pattern_, std::move(gather->lists));
-    self->FinishJoinTask(task, join.TakeAnswers(), join.TakeMatchedDocs());
+    JoinResult join = JoinGathered(self->pattern_, std::move(gather->lists));
+    self->FinishJoinTask(task, std::move(join.answers),
+                         std::move(join.matched_docs));
   };
 
   for (size_t node = 0; node < jt.inputs.size(); ++node) {
@@ -746,28 +735,10 @@ void QueryExecutor::PumpDppFetches(size_t node) {
 
 void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
   DppNodeState& st = dpp_[node];
-  if (st.requires_merge) {
-    // Wait for everything, merge-distinct once through the union iterator
-    // (each block is already sorted; overlap is across blocks only).
-    if (st.ready.size() < st.blocks.size()) return;
-    std::vector<PostingBlock> blocks;
-    blocks.reserve(st.ready.size());
-    for (auto& [idx, postings] : st.ready) {
-      if (!postings.empty()) {
-        blocks.push_back(PostingBlock::FromList(std::move(postings)));
-      }
-    }
-    st.ready.clear();
-    join_.Append(node, MergeDistinct(std::move(blocks)));
-    st.next_to_deliver = st.blocks.size();
-    stream_closed_[node] = true;
-    join_.Close(node);
-    return;
-  }
   while (true) {
     auto it = st.ready.find(st.next_to_deliver);
     if (it == st.ready.end()) break;
-    if (!it->second.empty()) join_.Append(node, std::move(it->second));
+    join_.Append(node, std::move(it->second));
     st.ready.erase(it);
     st.next_to_deliver++;
   }
@@ -890,6 +861,13 @@ ViewCandidate PriceViewRewrite(const ViewCatalog::Rewrite& rewrite,
   return view;
 }
 
+uint64_t EstimateTwigResults(const TreePattern& pattern,
+                             const std::vector<uint64_t>& counts) {
+  KADOP_CHECK(counts.size() == pattern.size(), "one count per pattern node");
+  if (counts.empty()) return 0;
+  return *std::min_element(counts.begin(), counts.end());
+}
+
 std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
     const QueryOptions& options, const std::optional<ViewCandidate>& view) {
@@ -905,11 +883,9 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     max_count = std::max(max_count, static_cast<double>(term_counts[i]));
     if (term_counts[i] < term_counts[selective]) selective = i;
   }
-  // Upper bound on answer cardinality from the iterator tree itself: an
-  // intersect-of-leaves estimate over the per-term counts, the same
-  // EstimateResultsAmount every live iterator exposes. Replaces the old
-  // fixed bytes-per-posting guesswork wherever a strategy's cost depends
-  // on how much survives the join rather than on what ships.
+  // Upper bound on answer cardinality: the scarcest term's count. Used
+  // wherever a strategy's cost depends on how much survives the join
+  // rather than on what ships.
   const double est_matches =
       static_cast<double>(EstimateTwigResults(pattern, term_counts));
 
@@ -951,8 +927,7 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
       costs.push_back(djoin);
     }
   }
-  // The iterator tree's intersect estimate is the most selective term's
-  // count — the same quantity the sub-query heuristic keys on.
+  // The sub-query heuristic keys on the same most selective term's count.
   const double min_count = est_matches;
   if (pattern.size() > 1 &&
       min_count * static_cast<double>(options.auto_selectivity_ratio) <

@@ -123,6 +123,13 @@ struct ViewCandidate {
     const ViewCatalog::Rewrite& rewrite,
     const std::vector<uint64_t>& term_counts);
 
+/// Cardinality estimate for a twig query over per-node posting counts: the
+/// minimum count — every matching document holds a posting of each node's
+/// list, so the scarcest list bounds the matches
+/// (docs/query_engine.md#estimates-and-kauto).
+[[nodiscard]] uint64_t EstimateTwigResults(const TreePattern& pattern,
+                                           const std::vector<uint64_t>& counts);
+
 /// Estimates costs for the viable strategies given per-term posting
 /// counts; kView is a candidate only when `view` is set.
 [[nodiscard]] std::vector<StrategyCostEstimate> EstimateStrategyCosts(
@@ -356,9 +363,6 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
     size_t next_to_deliver = 0;
     /// Out-of-order completions, moved into the join in block order.
     std::map<size_t, index::PostingList> ready;
-    /// Set when block conditions overlap (random-split ablation): blocks
-    /// must be collected fully and merge-sorted before joining.
-    bool requires_merge = false;
   };
   std::vector<DppNodeState> dpp_;
   index::Condition dpp_window_;

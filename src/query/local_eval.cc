@@ -63,13 +63,8 @@ std::vector<Answer> EvaluateOnDocument(const TreePattern& pattern,
   std::vector<PostingList> candidates(pattern.size());
   CollectCandidates(*doc.root, pattern, doc_id, candidates);
 
-  StructuralJoinIterator join(pattern);
-  for (size_t q = 0; q < pattern.size(); ++q) {
-    std::sort(candidates[q].begin(), candidates[q].end());
-    join.AddInput(q, PostingBlock::FromList(std::move(candidates[q])));
-  }
-  join.Run();
-  return join.TakeAnswers();
+  for (PostingList& c : candidates) std::sort(c.begin(), c.end());
+  return JoinLists(pattern, std::move(candidates)).answers;
 }
 
 bool MatchesDocument(const TreePattern& pattern, const xml::Document& doc) {

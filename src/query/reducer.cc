@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "obs/trace.h"
-#include "query/iterator.h"
 
 namespace kadop::query {
 
@@ -203,28 +202,19 @@ void ReducerService::BuildAndSendDbf(NodeState& st) {
 
 void ReducerService::ApplyDbfs(NodeState& st) {
   if (st.dbfs.empty()) return;
-  // One iterator pass through all child filters at once: a posting
+  // One in-place pass through all child filters at once: a posting
   // survives iff every DBF's may-have-descendant probe passes, which is
   // exactly the sequential `Filter` composition (same survivors, same
-  // order) at the cost of one output list instead of k.
+  // order) without a list per filter.
   const size_t before = st.list.size();
-  PostingListIterator it;
-  it.Push(PostingBlock::FromList(std::move(st.list)));
-  it.Close();
-  PostingList kept;
-  kept.reserve(before / 4);
-  index::Posting p;
-  while (it.Read(&p)) {
-    bool pass = true;
+  std::erase_if(st.list, [&st](const index::Posting& p) {
     for (const auto& filter : st.dbfs) {
-      if (!filter->MaybeAncestor(p)) {
-        pass = false;
-        break;
-      }
+      if (!filter->MaybeAncestor(p)) return true;
     }
-    if (pass) kept.push_back(p);
-  }
-  st.list = std::move(kept);
+    return false;
+  });
+  // The state outlives the query; keep only the survivors' memory.
+  st.list.shrink_to_fit();
   stats_.postings_filtered_out += before - st.list.size();
   st.dbfs.clear();
 }

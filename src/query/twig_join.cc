@@ -34,7 +34,95 @@ JoinCounters& C() {
   return counters;
 }
 
+/// First index in [lo, hi) with data[idx] >= target, found by galloping
+/// from `lo` (cheap when the answer is near, log-bounded when it is far).
+[[nodiscard]] size_t GallopLowerBound(const PostingList& data, size_t lo,
+                                      const Posting& target) {
+  const size_t hi = data.size();
+  if (lo >= hi || !(data[lo] < target)) return lo;
+  size_t low = lo;  // invariant: data[low] < target
+  size_t step = 1;
+  while (low + step < hi && data[low + step] < target) {
+    low += step;
+    step <<= 1;
+  }
+  const size_t high = std::min(low + step, hi);
+  return static_cast<size_t>(
+      std::lower_bound(data.begin() + static_cast<long>(low + 1),
+                       data.begin() + static_cast<long>(high), target) -
+      data.begin());
+}
+
 }  // namespace
+
+namespace internal {
+
+void PostingStream::Push(PostingList block) {
+  if (block.empty()) return;
+  KADOP_CHECK(!closed_, "append after close");
+  KADOP_CHECK(index::IsSortedPostingList(block),
+              "stream postings out of order");
+  KADOP_CHECK(blocks_.empty() || !(block.front() < blocks_.back().back()),
+              "stream blocks out of order");
+  blocks_.push_back(std::move(block));
+}
+
+size_t PostingStream::PopFrontBlock() {
+  const size_t unread = blocks_.front().size() - cursor_;
+  blocks_.pop_front();
+  cursor_ = 0;
+  return unread;
+}
+
+DocId PostingStream::HeadDoc() const {
+  KADOP_CHECK(!blocks_.empty(), "head of an empty stream");
+  return blocks_.front()[cursor_].doc_id();
+}
+
+DocId PostingStream::LastBufferedDoc() const {
+  KADOP_CHECK(!blocks_.empty(), "tail of an empty stream");
+  return blocks_.back().back().doc_id();
+}
+
+size_t PostingStream::SkipBelowDoc(DocId doc) {
+  size_t dropped = 0;
+  while (!blocks_.empty()) {
+    const PostingList& b = blocks_.front();
+    // A block whose last posting lies below `doc` is dropped whole.
+    if (!(b.back().doc_id() < doc)) {
+      const size_t i = GallopLowerBound(
+          b, cursor_, Posting{doc.peer, doc.doc, xml::StructuralId{0, 0, 0}});
+      dropped += i - cursor_;
+      cursor_ = i;
+      break;
+    }
+    dropped += PopFrontBlock();
+  }
+  return dropped;
+}
+
+size_t PostingStream::SkipAll() {
+  size_t dropped = 0;
+  while (!blocks_.empty()) dropped += PopFrontBlock();
+  return dropped;
+}
+
+size_t PostingStream::TakeDoc(DocId doc, PostingList& out) {
+  size_t took = 0;
+  while (!blocks_.empty() && HeadDoc() == doc) {
+    const PostingList& b = blocks_.front();
+    while (cursor_ < b.size() && b[cursor_].doc_id() == doc) {
+      out.push_back(b[cursor_]);
+      ++cursor_;
+      ++took;
+    }
+    if (cursor_ < b.size()) break;  // block continues with a later document
+    PopFrontBlock();
+  }
+  return took;
+}
+
+}  // namespace internal
 
 TwigJoin::TwigJoin(const TreePattern& pattern, size_t max_answers)
     : pattern_(pattern), max_answers_(max_answers) {
@@ -44,25 +132,8 @@ TwigJoin::TwigJoin(const TreePattern& pattern, size_t max_answers)
 }
 
 void TwigJoin::Append(size_t node, PostingList postings) {
-  if (postings.empty()) {
-    KADOP_CHECK(node < streams_.size(), "bad stream index");
-    return;
-  }
-  // Validate ordering within the block before it enters the stream (the
-  // cross-block check lives in AppendBlock).
-  for (size_t i = 1; i < postings.size(); ++i) {
-    KADOP_CHECK(!(postings[i] < postings[i - 1]),
-                "stream postings out of order");
-  }
-  AppendBlock(node, PostingBlock::FromList(std::move(postings)));
-}
-
-void TwigJoin::AppendBlock(size_t node, PostingBlock block) {
   KADOP_CHECK(node < streams_.size(), "bad stream index");
-  PostingListIterator& s = streams_[node];
-  KADOP_CHECK(!s.closed(), "append after close");
-  if (block.empty()) return;
-  s.Push(std::move(block));
+  streams_[node].Push(std::move(postings));
 }
 
 void TwigJoin::Close(size_t node) {
@@ -71,11 +142,11 @@ void TwigJoin::Close(size_t node) {
 }
 
 void TwigJoin::CloseAll() {
-  for (PostingListIterator& s : streams_) s.Close();
+  for (internal::PostingStream& s : streams_) s.Close();
 }
 
 bool TwigJoin::Done() const {
-  for (const PostingListIterator& s : streams_) {
+  for (const internal::PostingStream& s : streams_) {
     if (!s.Exhausted()) return false;
   }
   return true;
@@ -87,7 +158,7 @@ size_t TwigJoin::Advance() {
     // The smallest document id at any stream head.
     bool have_doc = false;
     DocId doc{};
-    for (const PostingListIterator& s : streams_) {
+    for (const internal::PostingStream& s : streams_) {
       if (!s.HasBuffered()) continue;
       const DocId d = s.HeadDoc();
       if (!have_doc || d < doc) {
@@ -99,12 +170,12 @@ size_t TwigJoin::Advance() {
 
     // Document-level leapfrog: every posting below the furthest stream
     // head is absent from that stream (streams are in order), so it can
-    // never join — drop those postings in bulk, skipping still-encoded
-    // blocks without decoding them. A stream that has ended with nothing
-    // buffered makes *every* remaining document unmatchable.
+    // never join — drop those postings in bulk, whole blocks at a time. A
+    // stream that has ended with nothing buffered makes *every* remaining
+    // document unmatchable.
     DocId target = doc;
     bool unmatchable = false;
-    for (const PostingListIterator& s : streams_) {
+    for (const internal::PostingStream& s : streams_) {
       if (s.HasBuffered()) {
         const DocId d = s.HeadDoc();
         if (target < d) target = d;
@@ -113,7 +184,7 @@ size_t TwigJoin::Advance() {
       }
     }
     if (unmatchable || doc < target) {
-      for (PostingListIterator& s : streams_) {
+      for (internal::PostingStream& s : streams_) {
         const size_t dropped =
             unmatchable ? s.SkipAll() : s.SkipBelowDoc(target);
         if (dropped > 0) {
@@ -127,7 +198,7 @@ size_t TwigJoin::Advance() {
 
     // Every stream with buffered input heads at `doc`. It is complete iff
     // every stream has either ended or buffered a posting beyond it.
-    for (const PostingListIterator& s : streams_) {
+    for (const internal::PostingStream& s : streams_) {
       if (s.closed()) continue;
       if (!s.HasBuffered() || !(doc < s.LastBufferedDoc())) {
         C().stalls->Increment();
@@ -246,6 +317,28 @@ void TwigJoin::JoinDocument(const DocId& doc,
     matched_docs_.push_back(doc);
     C().docs_matched->Increment();
   }
+}
+
+JoinResult JoinLists(const TreePattern& pattern,
+                     std::vector<PostingList> inputs) {
+  KADOP_CHECK(inputs.size() == pattern.size(), "one input per pattern node");
+  TwigJoin join(pattern);
+  for (size_t node = 0; node < inputs.size(); ++node) {
+    join.Append(node, std::move(inputs[node]));
+  }
+  join.CloseAll();
+  (void)join.Advance();
+  return JoinResult{join.TakeAnswers(), join.TakeMatchedDocs()};
+}
+
+JoinResult JoinGathered(const TreePattern& pattern,
+                        std::vector<std::vector<PostingList>> gathered) {
+  std::vector<PostingList> inputs;
+  inputs.reserve(gathered.size());
+  for (std::vector<PostingList>& lists : gathered) {
+    inputs.push_back(index::MergeDistinct(std::move(lists)));
+  }
+  return JoinLists(pattern, std::move(inputs));
 }
 
 }  // namespace kadop::query

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "query/iterator.h"
+#include "query/twig_join.h"
 
 namespace kadop::query {
 
@@ -103,18 +103,15 @@ std::vector<index::PostingList> ProjectAnswers(
 std::vector<Answer> ViewAnswersForDoc(
     const TreePattern& pattern,
     const std::vector<index::TermPosting>& postings) {
-  StructuralJoinIterator join(pattern);
+  std::vector<index::PostingList> inputs(pattern.size());
   for (size_t node = 0; node < pattern.size(); ++node) {
     const std::string key = pattern.node(node).TermKey();
-    index::PostingList list;
     for (const index::TermPosting& tp : postings) {
-      if (tp.key == key) list.push_back(tp.posting);
+      if (tp.key == key) inputs[node].push_back(tp.posting);
     }
-    std::sort(list.begin(), list.end());
-    join.AddInput(node, PostingBlock::FromList(std::move(list)));
+    std::sort(inputs[node].begin(), inputs[node].end());
   }
-  join.Run();
-  return join.TakeAnswers();
+  return JoinLists(pattern, std::move(inputs)).answers;
 }
 
 }  // namespace kadop::query

@@ -16,9 +16,9 @@ namespace kadop::query {
 /// whose answer set is precomputed and kept fresh in the DHT. The extent is
 /// stored *column-wise* — one ordinary posting list per pattern node under
 /// `ColumnKey(node)`, holding the document-ordered projection of the answer
-/// tuples onto that node — so extents ride the existing B+-tree store, the
-/// group-delta codec, `GetBlocks` streaming and the iterator-tree join
-/// without any view-specific storage or wire format.
+/// tuples onto that node — so extents ride the existing B+-tree store,
+/// `GetBlocks` streaming and the twig join without any view-specific
+/// storage or wire format.
 struct ViewDefinition {
   std::string name;
   TreePattern pattern;
@@ -40,7 +40,7 @@ struct ViewDefinition {
 /// v corresponds to query node `node_map[v]`. `exact` means the patterns
 /// are identical (every query node is covered); otherwise the unmapped
 /// query nodes are the rewrite's *residual* predicates, evaluated from
-/// their base term lists through the iterator tree.
+/// their base term lists through the twig join.
 struct ViewMatch {
   bool exact = false;
   std::vector<int> node_map;

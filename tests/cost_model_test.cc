@@ -6,7 +6,6 @@
 
 #include "core/kadop.h"
 #include "query/executor.h"
-#include "query/iterator.h"
 #include "xml/corpus.h"
 
 namespace kadop::query {
@@ -81,7 +80,7 @@ TEST(CostModelTest, OffPathLongListsKeepBottleneckHigh) {
 
 TEST(CostModelTest, IteratorEstimateFlipsDppJoinDecision) {
   // The kDppJoin egress term is cardinality-driven: each answer tuple
-  // ships ~8B of doc id plus ~10B per pattern node. The intersect
+  // ships ~8B of doc id plus ~10B per pattern node. The cardinality
   // estimate (min term count) decides whether shipping answers beats
   // shipping inputs — so shrinking the *larger* list, which leaves the
   // estimate untouched, flips the traffic ranking.
@@ -109,8 +108,16 @@ TEST(CostModelTest, IteratorEstimateFlipsDppJoinDecision) {
   EXPECT_GT(djoin->bytes, dpp->bytes);
 }
 
+TEST(EstimateTwigResultsTest, IsMinOverNodeCounts) {
+  const TreePattern pattern = MustParse("//a//b[//c]");
+  const std::vector<uint64_t> counts{1000, 40, 220};
+  EXPECT_EQ(EstimateTwigResults(pattern, counts), 40u);
+  const std::vector<uint64_t> with_zero{0, 40, 220};
+  EXPECT_EQ(EstimateTwigResults(pattern, with_zero), 0u);
+}
+
 TEST(CostModelTest, DppJoinBytesTrackEstimateTwigResults) {
-  // The model consumes the iterator tree's EstimateResultsAmount, not a
+  // The model consumes the EstimateTwigResults cardinality, not a
   // fixed bytes-per-posting constant: the djoin byte cost reproduces the
   // closed form built from EstimateTwigResults exactly.
   TreePattern pattern = MustParse("//a//b//c");

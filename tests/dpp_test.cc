@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
+#include <vector>
 
+#include "core/kadop.h"
 #include "dht/dht.h"
 #include "dht/ring.h"
 #include "index/dpp.h"
+#include "query/local_eval.h"
+#include "xml/corpus.h"
 
 namespace kadop::index {
 namespace {
@@ -179,32 +184,6 @@ TEST(DppTest, OutOfOrderInsertsLandInMatchingBlocks) {
   EXPECT_EQ(all, expected);
 }
 
-TEST(DppTest, RandomSplitModeKeepsAllData) {
-  DppOptions options;
-  options.max_block_postings = 200;
-  options.ordered_splits = false;
-  DppNet net(8, options);
-  PostingList postings;
-  for (uint32_t i = 0; i < 1500; ++i) postings.push_back(MakePosting(i, 1));
-  net.dht.peer(0)->Append("l:a", postings, nullptr);
-  net.scheduler.RunUntilIdle();
-  EXPECT_EQ(net.FetchAllBlocks("l:a"), postings);
-
-  std::vector<DppBlockInfo> dir;
-  DppManager::FetchDirectory(net.dht.peer(0), "l:a",
-                             [&](Status, std::vector<DppBlockInfo> blocks) {
-                               dir = std::move(blocks);
-                             });
-  net.scheduler.RunUntilIdle();
-  ASSERT_GE(dir.size(), 2u);
-  // Random splits leave overlapping conditions (no search pruning).
-  bool overlapping = false;
-  for (size_t i = 1; i < dir.size(); ++i) {
-    overlapping |= dir[i - 1].cond.Intersects(dir[i].cond);
-  }
-  EXPECT_TRUE(overlapping);
-}
-
 TEST(DppTest, DirectoryOfUnknownTermIsEmpty) {
   DppNet net(4);
   std::optional<std::vector<DppBlockInfo>> dir;
@@ -229,6 +208,79 @@ TEST(DppTest, PartitionedTermCount) {
   size_t partitioned = 0;
   for (const auto& m : net.managers) partitioned += m->PartitionedTermCount();
   EXPECT_EQ(partitioned, 1u);
+}
+
+TEST(DppTest, InterleavedPublishersKeepDirectoriesOrderedAndAnswersWhole) {
+  // Four publishers publish at once, so their append batches for each term
+  // interleave at the term owners while small blocks keep splitting. The
+  // query side relies on what this pins: every directory is ascending with
+  // pairwise-disjoint conditions (the [min, max] window reads the extremes
+  // off the first and last block, and blocks stream into the join in
+  // directory order), and kDpp returns exactly the oracle's answers.
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 150 << 10;
+  copt.doc_bytes = 4 << 10;
+  const std::vector<xml::Document> docs = xml::corpus::GenerateDblp(copt);
+
+  core::KadopOptions opt;
+  opt.peers = 12;
+  opt.dpp.max_block_postings = 64;
+  core::KadopNet net(opt);
+  net.RegisterDocuments(docs);
+  const std::vector<sim::NodeIndex> publishers{2, 5, 7, 10};
+  std::vector<std::pair<sim::NodeIndex, std::vector<const xml::Document*>>>
+      batches;
+  for (const sim::NodeIndex p : publishers) batches.push_back({p, {}});
+  for (size_t d = 0; d < docs.size(); ++d) {
+    batches[d % batches.size()].second.push_back(&docs[d]);
+  }
+  net.ParallelPublishAndWait(batches);
+
+  DppStats stats;
+  for (size_t i = 0; i < net.PeerCount(); ++i) {
+    stats.Add(net.peer(static_cast<sim::NodeIndex>(i))->dpp()->stats());
+  }
+  EXPECT_GT(stats.splits, 50u);
+
+  for (const char* expr : {"//article//author", "//inproceedings//booktitle",
+                           "//article[//journal]//year"}) {
+    const query::TreePattern pattern = query::ParsePattern(expr).take();
+    for (size_t node = 0; node < pattern.size(); ++node) {
+      const std::string key = pattern.node(node).TermKey();
+      std::vector<DppBlockInfo> dir;
+      DppManager::FetchDirectory(net.peer(0)->dht_peer(), key,
+                                 [&](Status, std::vector<DppBlockInfo> b) {
+                                   dir = std::move(b);
+                                 });
+      net.RunToIdle();
+      ASSERT_FALSE(dir.empty()) << key;
+      for (size_t i = 1; i < dir.size(); ++i) {
+        EXPECT_TRUE(dir[i - 1].cond.Before(dir[i].cond))
+            << key << ": " << dir[i - 1].cond.ToString() << " vs "
+            << dir[i].cond.ToString();
+      }
+    }
+
+    std::vector<query::Answer> expected;
+    for (const sim::NodeIndex p : publishers) {
+      const DocStore& store = net.peer(p)->doc_store();
+      for (DocSeq seq = 0; seq < store.size(); ++seq) {
+        for (query::Answer& a : query::EvaluateOnDocument(
+                 pattern, *store.Get(seq), DocId{p, seq})) {
+          expected.push_back(std::move(a));
+        }
+      }
+    }
+    query::QueryOptions options;
+    options.strategy = query::QueryStrategy::kDpp;
+    auto result = net.QueryAndWait(1, expr, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result.value().metrics.complete) << expr;
+    // Answers stream out in document order, as the oracle lists them.
+    const std::vector<query::Answer>& got = result.value().answers;
+    EXPECT_EQ(got.size(), expected.size()) << expr;
+    EXPECT_TRUE(got == expected) << expr;
+  }
 }
 
 }  // namespace

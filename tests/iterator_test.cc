@@ -1,20 +1,18 @@
-// Seeded property tests for the iterator-tree query engine
-// (src/query/iterator.h): every combinator must agree with a naive
-// flat-list oracle on skewed and adversarial posting lists, skips must
-// drop out-of-range blocks whole with exact accounting, and the
-// structural join must produce byte-identical answers however its inputs
-// are cut into blocks.
+// Seeded property tests for the posting-stream layer under the twig join:
+// internal::PostingStream skips and takes must agree with a flat-list
+// oracle on skewed and adversarial lists, skips must drop out-of-range
+// blocks whole with exact accounting, MergeDistinct must equal sort +
+// unique, and the twig join must produce identical answers however its
+// inputs are cut into blocks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <vector>
 
 #include "index/posting.h"
-#include "query/iterator.h"
 #include "query/tree_pattern.h"
 #include "query/twig_join.h"
 
@@ -27,9 +25,13 @@ using index::PostingList;
 
 TreePattern MustParse(const char* expr) {
   auto result = ParsePattern(expr);
-  EXPECT_TRUE(result.ok());
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.take();
 }
+
+// --- internal::PostingStream ------------------------------------------------
+
+using internal::PostingStream;
 
 /// Clustered sorted list: few peers, docs in [0, doc_span), valid SIDs,
 /// occasional exact duplicates — the shape real term lists have.
@@ -54,8 +56,8 @@ PostingList RandomSortedList(std::mt19937_64& rng, size_t n,
   return list;
 }
 
-/// Splits `list` into random contiguous chunks (possibly empty at the
-/// tail) — any split of a sorted list is a valid block stream.
+/// Splits `list` into random contiguous chunks — any split of a sorted
+/// list is a valid block stream.
 std::vector<PostingList> RandomChunks(std::mt19937_64& rng,
                                       const PostingList& list) {
   std::vector<PostingList> chunks;
@@ -70,24 +72,168 @@ std::vector<PostingList> RandomChunks(std::mt19937_64& rng,
   return chunks;
 }
 
-PostingListIterator MakeIterator(std::mt19937_64& rng,
-                                 const PostingList& list) {
-  PostingListIterator it;
-  for (PostingList& chunk : RandomChunks(rng, list)) {
-    it.Push(PostingBlock::FromList(std::move(chunk)));
-  }
-  it.Close();
-  return it;
+PostingStream MakeStream(std::mt19937_64& rng, const PostingList& list) {
+  PostingStream s;
+  for (PostingList& chunk : RandomChunks(rng, list)) s.Push(std::move(chunk));
+  s.Close();
+  return s;
 }
 
-PostingList Drain(IndexIterator& it) {
+/// Drains a stream document by document.
+PostingList Drain(PostingStream& s) {
   PostingList out;
-  Posting p;
-  while (it.Read(&p)) out.push_back(p);
+  while (s.HasBuffered()) s.TakeDoc(s.HeadDoc(), out);
   return out;
 }
 
-/// sort + unique oracle for MergeDistinct / UnionIterator.
+TEST(PostingStreamTest, SkipAndTakeMatchFlatListOracle) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    const PostingList list = RandomSortedList(rng, 400);
+    PostingStream s = MakeStream(rng, list);
+    // Random non-decreasing doc targets interleaved with whole-document
+    // takes; the oracle walks the flat list.
+    size_t at = 0;  // index of the next unconsumed oracle posting
+    std::uniform_int_distribution<size_t> jump_d(0, 12);
+    std::uniform_int_distribution<int> coin(0, 1);
+    while (at < list.size()) {
+      ASSERT_TRUE(s.HasBuffered());
+      ASSERT_EQ(s.HeadDoc(), list[at].doc_id());
+      if (coin(rng) == 0) {
+        PostingList took;
+        const size_t n = s.TakeDoc(s.HeadDoc(), took);
+        size_t end = at;
+        while (end < list.size() && list[end].doc_id() == list[at].doc_id()) {
+          ++end;
+        }
+        EXPECT_EQ(n, end - at);
+        EXPECT_EQ(took, PostingList(list.begin() + static_cast<long>(at),
+                                    list.begin() + static_cast<long>(end)));
+        at = end;
+        continue;
+      }
+      const DocId target =
+          list[std::min(list.size() - 1, at + jump_d(rng))].doc_id();
+      const size_t expect = static_cast<size_t>(
+          std::partition_point(list.begin() + static_cast<long>(at),
+                               list.end(),
+                               [&](const Posting& p) {
+                                 return p.doc_id() < target;
+                               }) -
+          list.begin());
+      EXPECT_EQ(s.SkipBelowDoc(target), expect - at);
+      at = expect;
+    }
+    EXPECT_TRUE(s.Exhausted());
+  }
+}
+
+TEST(PostingStreamTest, DrainMatchesList) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    const PostingList list = RandomSortedList(rng, 300);
+    PostingStream s = MakeStream(rng, list);
+    EXPECT_EQ(s.LastBufferedDoc(), list.back().doc_id());
+    EXPECT_EQ(Drain(s), list);
+    EXPECT_FALSE(s.HasBuffered());
+    EXPECT_TRUE(s.Exhausted());
+  }
+}
+
+/// Ten blocks over docs [0, 1000), then one block at doc 5000.
+PostingStream TenBlocksThenDoc5000() {
+  PostingStream s;
+  for (uint32_t b = 0; b < 10; ++b) {
+    PostingList chunk;
+    for (uint32_t d = 0; d < 100; ++d) {
+      chunk.push_back(Posting{0, b * 100 + d, {1, 2, 1}});
+    }
+    s.Push(std::move(chunk));
+  }
+  s.Push({Posting{0, 5000, {1, 2, 1}}});
+  s.Close();
+  return s;
+}
+
+TEST(PostingStreamTest, SkipBelowDocDropsWholeBlocksAndCountsThem) {
+  PostingStream s = TenBlocksThenDoc5000();
+  // Five whole blocks plus half of the sixth fall below doc 550.
+  EXPECT_EQ(s.SkipBelowDoc(DocId{0, 550}), 550u);
+  EXPECT_EQ(s.HeadDoc(), (DocId{0, 550}));
+  // Past every block but the last: the partial sixth block and four whole
+  // ones.
+  EXPECT_EQ(s.SkipBelowDoc(DocId{0, 4000}), 450u);
+  EXPECT_EQ(s.HeadDoc(), (DocId{0, 5000}));
+  // A target at or below the head drops nothing.
+  EXPECT_EQ(s.SkipBelowDoc(DocId{0, 5000}), 0u);
+  EXPECT_EQ(s.SkipAll(), 1u);
+  EXPECT_FALSE(s.HasBuffered());
+  EXPECT_TRUE(s.Exhausted());
+}
+
+TEST(PostingStreamTest, GallopingWorstCaseLandsExactly) {
+  // One giant leap from the head of a large stream to its very last
+  // document: twenty whole blocks, then a gallop across a 1000-posting
+  // block.
+  PostingStream s;
+  for (uint32_t b = 0; b < 20; ++b) {
+    PostingList chunk;
+    for (uint32_t d = 0; d < 50; ++d) {
+      chunk.push_back(Posting{0, b * 50 + d, {1, 2, 1}});
+    }
+    s.Push(std::move(chunk));
+  }
+  PostingList big;
+  for (uint32_t i = 0; i < 1000; ++i) {
+    big.push_back(Posting{0, 1000 + i, {10 + i, 10 + i, 2}});
+  }
+  s.Push(big);
+  s.Close();
+  EXPECT_EQ(s.SkipBelowDoc(big.back().doc_id()), 1000u + 999u);
+  EXPECT_EQ(s.HeadDoc(), big.back().doc_id());
+  PostingList last;
+  EXPECT_EQ(s.TakeDoc(s.HeadDoc(), last), 1u);
+  EXPECT_EQ(last, PostingList{big.back()});
+  EXPECT_TRUE(s.Exhausted());
+}
+
+TEST(PostingStreamTest, AdversarialShapes) {
+  // Empty blocks are dropped on Push; single-posting blocks and a long
+  // run of exact duplicates stream through unchanged.
+  PostingStream s;
+  s.Push({});
+  const Posting dup{1, 1, {5, 9, 2}};
+  s.Push(PostingList(32, dup));
+  s.Push({Posting{1, 2, {1, 1, 1}}});
+  s.Push({});
+  s.Push({Posting{2, 0, {1, 4, 1}}});
+  s.Close();
+  s.Push({});  // an empty block after Close is still dropped
+  PostingList expect(32, dup);
+  expect.push_back(Posting{1, 2, {1, 1, 1}});
+  expect.push_back(Posting{2, 0, {1, 4, 1}});
+  EXPECT_EQ(Drain(s), expect);
+}
+
+TEST(PostingStreamTest, OutOfOrderInputAborts) {
+  EXPECT_DEATH(
+      {
+        PostingStream s;
+        s.Push({Posting{0, 5, {1, 2, 1}}, Posting{0, 1, {1, 2, 1}}});
+      },
+      "stream postings out of order");
+  EXPECT_DEATH(
+      {
+        PostingStream s;
+        s.Push({Posting{0, 5, {1, 2, 1}}});
+        s.Push({Posting{0, 1, {1, 2, 1}}});
+      },
+      "stream blocks out of order");
+}
+
+// --- MergeDistinct -----------------------------------------------------------
+
+/// sort + unique oracle for MergeDistinct.
 PostingList DistinctOracle(const std::vector<PostingList>& lists) {
   PostingList merged;
   for (const PostingList& l : lists) {
@@ -98,234 +244,36 @@ PostingList DistinctOracle(const std::vector<PostingList>& lists) {
   return merged;
 }
 
-// --- PostingListIterator ---------------------------------------------------
-
-TEST(PostingListIteratorTest, DrainMatchesList) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937_64 rng(seed);
-    const PostingList list = RandomSortedList(rng, 300);
-    PostingListIterator it = MakeIterator(rng, list);
-    EXPECT_EQ(it.EstimateResultsAmount(), list.size());
-    EXPECT_EQ(Drain(it), list);
-    EXPECT_FALSE(it.HasBuffered());
-    EXPECT_TRUE(it.Exhausted());
-  }
-}
-
-TEST(PostingListIteratorTest, SkipToMatchesLowerBoundOracle) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937_64 rng(seed);
-    const PostingList list = RandomSortedList(rng, 400);
-    PostingListIterator it = MakeIterator(rng, list);
-    // Random non-decreasing targets; the oracle walks the flat list.
-    size_t oracle = 0;  // index of the next unconsumed oracle posting
-    std::uniform_int_distribution<size_t> jump_d(0, 12);
-    std::uniform_int_distribution<int> coin(0, 1);
-    while (oracle < list.size()) {
-      if (coin(rng) == 0) {
-        // Interleave plain reads to exercise mixed access.
-        Posting got;
-        ASSERT_TRUE(it.Read(&got));
-        EXPECT_EQ(got, list[oracle]);
-        ++oracle;
-        continue;
-      }
-      const size_t probe =
-          std::min(list.size() - 1, oracle + jump_d(rng));
-      const Posting target = list[probe];
-      const size_t expect = static_cast<size_t>(
-          std::lower_bound(list.begin() + static_cast<long>(oracle),
-                           list.end(), target) -
-          list.begin());
-      Posting got;
-      ASSERT_TRUE(it.SkipTo(target, &got));
-      EXPECT_EQ(got, list[expect]);
-      oracle = expect + 1;  // SkipTo consumes the returned posting
-    }
-    Posting end;
-    EXPECT_FALSE(it.Read(&end));
-  }
-}
-
-TEST(PostingListIteratorTest, SkipToPastEverythingReturnsFalse) {
-  std::mt19937_64 rng(3);
-  const PostingList list = RandomSortedList(rng, 100);
-  PostingListIterator it = MakeIterator(rng, list);
-  Posting got;
-  EXPECT_FALSE(it.SkipTo(index::kMaxPosting, &got));
-  EXPECT_FALSE(it.HasBuffered());
-  EXPECT_EQ(it.EstimateResultsAmount(), 0u);
-}
-
-/// Ten blocks over docs [0, 1000), then one block at doc 5000.
-PostingListIterator TenBlocksThenDoc5000() {
-  PostingListIterator it;
-  for (uint32_t b = 0; b < 10; ++b) {
-    PostingList chunk;
-    for (uint32_t d = 0; d < 100; ++d) {
-      chunk.push_back(Posting{0, b * 100 + d, {1, 2, 1}});
-    }
-    it.Push(PostingBlock::FromList(std::move(chunk)));
-  }
-  it.Push(PostingBlock::FromList({Posting{0, 5000, {1, 2, 1}}}));
-  it.Close();
-  return it;
-}
-
-TEST(PostingListIteratorTest, SkipToDropsBlocksBelowTheTargetWhole) {
-  // A SkipTo straight to doc 5000 drops the ten blocks whose last posting
-  // lies below the target and keeps the buffered count exact.
-  PostingListIterator it = TenBlocksThenDoc5000();
-  // Consume part of the first block so a partial block is dropped too.
-  Posting got;
-  ASSERT_TRUE(it.Read(&got));
-  ASSERT_TRUE(it.Read(&got));
-  EXPECT_EQ(it.EstimateResultsAmount(), 999u);
-  ASSERT_TRUE(it.SkipTo(Posting{0, 5000, {0, 0, 0}}, &got));
-  EXPECT_EQ(got, (Posting{0, 5000, {1, 2, 1}}));
-  EXPECT_EQ(it.EstimateResultsAmount(), 0u);
-  EXPECT_TRUE(it.Exhausted());
-}
-
-TEST(PostingListIteratorTest, SkipBelowDocDropsWholeBlocksAndCountsThem) {
-  PostingListIterator it = TenBlocksThenDoc5000();
-  // Five whole blocks plus half of the sixth fall below doc 550.
-  EXPECT_EQ(it.SkipBelowDoc(DocId{0, 550}), 550u);
-  EXPECT_EQ(it.HeadDoc(), (DocId{0, 550}));
-  EXPECT_EQ(it.EstimateResultsAmount(), 451u);
-  // Past every block but the last: nine more whole or partial blocks.
-  EXPECT_EQ(it.SkipBelowDoc(DocId{0, 4000}), 450u);
-  EXPECT_EQ(it.HeadDoc(), (DocId{0, 5000}));
-  // A target at or below the head drops nothing.
-  EXPECT_EQ(it.SkipBelowDoc(DocId{0, 5000}), 0u);
-  EXPECT_EQ(it.SkipAll(), 1u);
-  EXPECT_FALSE(it.HasBuffered());
-}
-
-TEST(PostingListIteratorTest, GallopingWorstCaseLandsExactly) {
-  // The galloping worst case: one giant leap from the head of a large
-  // stream to its very last posting, through twenty whole blocks and then
-  // a gallop across a 1000-posting block.
-  PostingListIterator it;
-  for (uint32_t b = 0; b < 20; ++b) {
-    PostingList chunk;
-    for (uint32_t d = 0; d < 50; ++d) {
-      chunk.push_back(Posting{0, b * 50 + d, {1, 2, 1}});
-    }
-    it.Push(PostingBlock::FromList(std::move(chunk)));
-  }
-  PostingList big;
-  for (uint32_t i = 0; i < 1000; ++i) {
-    big.push_back(Posting{0, 99999, {10 + i, 10 + i, 2}});
-  }
-  it.Push(PostingBlock::FromList(big));
-  it.Close();
-  Posting got;
-  ASSERT_TRUE(it.SkipTo(big.back(), &got));
-  EXPECT_EQ(got, big.back());
-  EXPECT_TRUE(it.Exhausted());
-}
-
-TEST(PostingListIteratorTest, AdversarialShapes) {
-  // Empty blocks are dropped on Push; single-posting runs and a long run
-  // of exact duplicates stream through unchanged.
-  PostingListIterator it;
-  it.Push(PostingBlock::FromList({}));
-  const Posting dup{1, 1, {5, 9, 2}};
-  it.Push(PostingBlock::FromList(PostingList(32, dup)));
-  it.Push(PostingBlock::FromList({Posting{1, 2, {1, 1, 1}}}));
-  it.Push(PostingBlock::FromList({}));
-  it.Push(PostingBlock::FromList({Posting{2, 0, {1, 4, 1}}}));
-  it.Close();
-  PostingList expect(32, dup);
-  expect.push_back(Posting{1, 2, {1, 1, 1}});
-  expect.push_back(Posting{2, 0, {1, 4, 1}});
-  EXPECT_EQ(Drain(it), expect);
-}
-
-TEST(PostingListIteratorTest, AbortDropsEverything) {
-  std::mt19937_64 rng(6);
-  PostingListIterator it =
-      MakeIterator(rng, RandomSortedList(rng, 50));
-  it.Abort();
-  EXPECT_TRUE(it.Exhausted());
-  EXPECT_EQ(it.EstimateResultsAmount(), 0u);
-  Posting p;
-  EXPECT_FALSE(it.Read(&p));
-}
-
-// --- UnionIterator ---------------------------------------------------------
-
-TEST(UnionIteratorTest, MatchesSortUniqueOracle) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<size_t> n_d(0, 200);
-    std::vector<PostingList> lists;
-    std::vector<std::unique_ptr<IndexIterator>> children;
-    for (int i = 0; i < 4; ++i) {
-      lists.push_back(RandomSortedList(rng, n_d(rng)));
-      children.push_back(std::make_unique<PostingListIterator>(
-          MakeIterator(rng, lists.back())));
-    }
-    UnionIterator u(std::move(children));
-    EXPECT_EQ(Drain(u), DistinctOracle(lists));
-  }
-}
-
-TEST(UnionIteratorTest, SkipToMatchesOracle) {
-  std::mt19937_64 rng(11);
-  std::vector<PostingList> lists;
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  for (int i = 0; i < 3; ++i) {
-    lists.push_back(RandomSortedList(rng, 150));
-    children.push_back(std::make_unique<PostingListIterator>(
-        MakeIterator(rng, lists.back())));
-  }
-  const PostingList oracle = DistinctOracle(lists);
-  UnionIterator u(std::move(children));
-  size_t at = 0;
-  std::uniform_int_distribution<size_t> jump_d(0, 9);
-  while (at < oracle.size()) {
-    const size_t probe = std::min(oracle.size() - 1, at + jump_d(rng));
-    Posting got;
-    ASSERT_TRUE(u.SkipTo(oracle[probe], &got));
-    EXPECT_EQ(got, oracle[probe]);
-    at = probe + 1;
-  }
-  Posting end;
-  EXPECT_FALSE(u.Read(&end));
-}
-
-// --- MergeDistinct ---------------------------------------------------------
-
 TEST(MergeDistinctTest, MatchesSortUniqueOracle) {
+  // RandomSortedList plants exact duplicates within each list; the lists
+  // interleave and overlap each other.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     std::mt19937_64 rng(seed);
     std::uniform_int_distribution<size_t> n_d(0, 120);
     std::vector<PostingList> lists;
     for (int i = 0; i < 5; ++i) lists.push_back(RandomSortedList(rng, n_d(rng)));
-    const PostingList oracle = DistinctOracle(lists);
-    EXPECT_EQ(MergeDistinct(lists), oracle);
-
-    std::vector<PostingBlock> blocks;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      blocks.push_back(PostingBlock::FromList(lists[i]));
-    }
-    EXPECT_EQ(MergeDistinct(std::move(blocks)), oracle);
+    lists.push_back(lists[1]);  // a whole list repeated
+    EXPECT_EQ(index::MergeDistinct(lists), DistinctOracle(lists));
+    // Disjoint sorted lists arriving in any order (ordered DPP pulls).
+    const PostingList all = DistinctOracle(lists);
+    std::vector<PostingList> pieces = RandomChunks(rng, all);
+    std::shuffle(pieces.begin(), pieces.end(), rng);
+    EXPECT_EQ(index::MergeDistinct(pieces), all);
   }
+  EXPECT_TRUE(index::MergeDistinct({}).empty());
 }
 
-TEST(MergeDistinctTest, UnsortedInputFallsBackToCanonicalResult) {
-  PostingList backwards{Posting{0, 9, {1, 2, 1}}, Posting{0, 1, {1, 2, 1}}};
-  PostingList sorted{Posting{0, 5, {1, 2, 1}}};
-  const PostingList out = MergeDistinct(
-      std::vector<PostingList>{backwards, sorted});
-  PostingList expect{Posting{0, 1, {1, 2, 1}}, Posting{0, 5, {1, 2, 1}},
-                     Posting{0, 9, {1, 2, 1}}};
-  EXPECT_EQ(out, expect);
+TEST(MergeDistinctTest, UnsortedInputGetsTheCanonicalResult) {
+  const PostingList backwards{Posting{0, 9, {1, 2, 1}}, Posting{0, 1, {1, 2, 1}},
+                              Posting{0, 9, {1, 2, 1}}};
+  const PostingList sorted{Posting{0, 5, {1, 2, 1}}};
+  const PostingList expect{Posting{0, 1, {1, 2, 1}}, Posting{0, 5, {1, 2, 1}},
+                           Posting{0, 9, {1, 2, 1}}};
+  EXPECT_EQ(index::MergeDistinct({backwards, sorted}), expect);
+  EXPECT_EQ(index::MergeDistinct({sorted, backwards}), expect);
 }
 
-// --- StructuralJoinIterator ------------------------------------------------
+// --- Block boundaries, leapfrog and one-shot joins ---------------------------
 
 /// Builds matching //a//b candidate lists over `docs` documents with
 /// `per_doc` elements each plus decoy-only documents that cannot join.
@@ -333,22 +281,12 @@ struct TwigFixture {
   PostingList ancestors;
   PostingList descendants;
 
-  explicit TwigFixture(std::mt19937_64& rng, uint32_t docs,
-                       uint32_t per_doc) {
+  TwigFixture(std::mt19937_64& rng, uint32_t docs, uint32_t per_doc) {
     std::uniform_int_distribution<int> decoy_d(0, 2);
     for (uint32_t d = 0; d < docs; ++d) {
       const int decoy = decoy_d(rng);
-      if (decoy == 1) {  // ancestor without descendants
-        ancestors.push_back(Posting{0, d, {1, 1000, 1}});
-        continue;
-      }
-      if (decoy == 2) {  // descendants without an ancestor
-        for (uint32_t i = 0; i < per_doc; ++i) {
-          descendants.push_back(Posting{0, d, {10 + i, 10 + i, 3}});
-        }
-        continue;
-      }
-      ancestors.push_back(Posting{0, d, {1, 1000, 1}});
+      if (decoy != 2) ancestors.push_back(Posting{0, d, {1, 1000, 1}});
+      if (decoy == 1) continue;  // ancestor without descendants
       for (uint32_t i = 0; i < per_doc; ++i) {
         descendants.push_back(Posting{0, d, {10 + i, 10 + i, 3}});
       }
@@ -356,98 +294,90 @@ struct TwigFixture {
   }
 };
 
-std::vector<Answer> RunJoin(const TreePattern& pattern,
-                            const PostingList& ancestors,
-                            const PostingList& descendants,
-                            std::mt19937_64& rng) {
-  StructuralJoinIterator join(pattern);
-  for (PostingList& chunk : RandomChunks(rng, ancestors)) {
-    join.AddInput(0, PostingBlock::FromList(std::move(chunk)));
+std::vector<Answer> RunChunked(const TreePattern& pattern,
+                               const TwigFixture& fx, std::mt19937_64& rng) {
+  TwigJoin join(pattern);
+  for (PostingList& chunk : RandomChunks(rng, fx.ancestors)) {
+    join.Append(0, std::move(chunk));
   }
-  for (PostingList& chunk : RandomChunks(rng, descendants)) {
-    join.AddInput(1, PostingBlock::FromList(std::move(chunk)));
+  for (PostingList& chunk : RandomChunks(rng, fx.descendants)) {
+    join.Append(1, std::move(chunk));
   }
-  join.Run();
+  join.CloseAll();
+  join.Advance();
   return join.TakeAnswers();
 }
 
-bool AnswersEqual(const std::vector<Answer>& a, const std::vector<Answer>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].doc != b[i].doc || a[i].elements != b[i].elements) return false;
-  }
-  return true;
-}
-
-TEST(StructuralJoinIteratorTest, BlockBoundariesDoNotChangeAnswers) {
+TEST(TwigJoinBlocksTest, BlockBoundariesDoNotChangeAnswers) {
   const TreePattern pattern = MustParse("//a//b");
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed);
-    TwigFixture fx(rng, 120, 3);
+    const TwigFixture fx(rng, 120, 3);
     std::mt19937_64 rng_a(seed * 101);
     std::mt19937_64 rng_b(seed * 101 + 1);
-    const auto a = RunJoin(pattern, fx.ancestors, fx.descendants, rng_a);
-    const auto b = RunJoin(pattern, fx.ancestors, fx.descendants, rng_b);
+    const auto a = RunChunked(pattern, fx, rng_a);
     EXPECT_GT(a.size(), 0u);
-    EXPECT_TRUE(AnswersEqual(a, b));
+    EXPECT_EQ(a, RunChunked(pattern, fx, rng_b));
+    EXPECT_EQ(a, JoinLists(pattern, {fx.ancestors, fx.descendants}).answers);
   }
 }
 
-TEST(StructuralJoinIteratorTest, LeapfrogSkipsOutOfRangeBlocks) {
+TEST(TwigJoinBlocksTest, LeapfrogSkipsOutOfRangeBlocks) {
   // The selective stream has one document; the document leapfrog drops
   // the other stream's blocks below it whole, and still counts their
   // postings as consumed.
   const TreePattern pattern = MustParse("//a//b");
-  StructuralJoinIterator join(pattern);
-  join.AddInput(0, PostingBlock::FromList({Posting{0, 950, {1, 1000, 1}}}));
+  TwigJoin join(pattern);
+  join.Append(0, {Posting{0, 950, {1, 1000, 1}}});
   for (uint32_t b = 0; b < 9; ++b) {
     PostingList chunk;
     for (uint32_t d = 0; d < 100; ++d) {
       chunk.push_back(Posting{0, b * 100 + d, {10, 10, 3}});
     }
-    join.AddInput(1, PostingBlock::FromList(std::move(chunk)));
+    join.Append(1, std::move(chunk));
   }
-  join.AddInput(1, PostingBlock::FromList({Posting{0, 950, {10, 10, 3}}}));
-  join.Run();
+  join.Append(1, {Posting{0, 950, {10, 10, 3}}});
+  join.CloseAll();
+  join.Advance();
   ASSERT_EQ(join.answers().size(), 1u);
   EXPECT_EQ(join.answers()[0].doc, (DocId{0, 950}));
   EXPECT_EQ(join.postings_consumed(), 1u + 900u + 1u);
 }
 
-TEST(StructuralJoinIteratorTest, TakeMovesTheResultsOut) {
+TEST(TwigJoinBlocksTest, ResultsAreMovedOut) {
   const TreePattern pattern = MustParse("//a//b");
   std::mt19937_64 rng(4);
-  TwigFixture fx(rng, 40, 2);
-  StructuralJoinIterator join(pattern);
-  join.AddInput(0, PostingBlock::FromList(fx.ancestors));
-  join.AddInput(1, PostingBlock::FromList(fx.descendants));
-  join.Run();
-  const size_t answers = join.answers().size();
-  const size_t docs = join.matched_docs().size();
-  ASSERT_GT(answers, 0u);
-  EXPECT_EQ(join.TakeAnswers().size(), answers);
-  EXPECT_EQ(join.TakeMatchedDocs().size(), docs);
+  const TwigFixture fx(rng, 40, 2);
+  TwigJoin join(pattern);
+  join.Append(0, fx.ancestors);
+  join.Append(1, fx.descendants);
+  join.CloseAll();
+  join.Advance();
+  const std::vector<Answer> answers = join.answers();
+  const std::vector<DocId> docs = join.matched_docs();
+  ASSERT_GT(answers.size(), 0u);
+  EXPECT_EQ(join.TakeAnswers(), answers);
+  EXPECT_EQ(join.TakeMatchedDocs(), docs);
   EXPECT_TRUE(join.answers().empty());
   EXPECT_TRUE(join.matched_docs().empty());
-}
 
-TEST(StructuralJoinIteratorTest, EstimateIsMinInputCount) {
-  const TreePattern pattern = MustParse("//a//b");
-  StructuralJoinIterator join(pattern);
-  std::mt19937_64 rng(2);
-  join.AddInput(0, PostingBlock::FromList(RandomSortedList(rng, 40)));
-  join.AddInput(1, PostingBlock::FromList(RandomSortedList(rng, 7)));
-  EXPECT_EQ(join.EstimateResultsAmount(), 7u);
-}
-
-// --- EstimateTwigResults ---------------------------------------------------
-
-TEST(EstimateTwigResultsTest, IsMinOverNodeCounts) {
-  const TreePattern pattern = MustParse("//a//b[//c]");
-  const std::vector<uint64_t> counts{1000, 40, 220};
-  EXPECT_EQ(EstimateTwigResults(pattern, counts), 40u);
-  const std::vector<uint64_t> with_zero{0, 40, 220};
-  EXPECT_EQ(EstimateTwigResults(pattern, with_zero), 0u);
+  // The one-shot forms hand back the same results.
+  const JoinResult once = JoinLists(pattern, {fx.ancestors, fx.descendants});
+  EXPECT_EQ(once.answers, answers);
+  EXPECT_EQ(once.matched_docs, docs);
+  // JoinGathered merge-distincts each node's pulls first: split and
+  // overlapping pulls join like the whole lists.
+  const size_t half = fx.descendants.size() / 2;
+  std::vector<std::vector<PostingList>> gathered(2);
+  gathered[0] = {fx.ancestors, fx.ancestors};
+  gathered[1] = {
+      PostingList(fx.descendants.begin() + static_cast<long>(half),
+                  fx.descendants.end()),
+      PostingList(fx.descendants.begin(),
+                  fx.descendants.begin() + static_cast<long>(half + 1))};
+  const JoinResult merged = JoinGathered(pattern, std::move(gathered));
+  EXPECT_EQ(merged.answers, answers);
+  EXPECT_EQ(merged.matched_docs, docs);
 }
 
 }  // namespace

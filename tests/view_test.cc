@@ -117,7 +117,7 @@ TEST_F(ViewTest, ContainmentRewriteFiltersResidualPredicates) {
   ASSERT_TRUE(net_->CreateViewAndWait("//article//author").ok());
 
   // //article[//journal]//author strictly contains the view pattern; the
-  // journal branch stays residual and filters through the iterator tree.
+  // journal branch stays residual and filters through the twig join.
   const char* expr = "//article[//journal]//author";
   const QueryResult dpp = RunQuery(expr, QueryStrategy::kDpp);
   const QueryResult view = RunQuery(expr, QueryStrategy::kView);
